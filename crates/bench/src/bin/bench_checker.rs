@@ -1,27 +1,26 @@
 //! Engine-level checker benchmark → `BENCH_checker.json`.
 //!
 //! Measures raw model-checking throughput (states explored per second)
-//! and peak RSS on Table 1 workloads, comparing five engine
-//! configurations on the *same* resolved candidate: the compile-once
-//! candidate layer driving the undo-log engine with both reductions
-//! (`compiled-por`, the default configuration — the candidate is
-//! sealed into a hole-free micro-op program once per workload, as
-//! CEGIS seals it once per iteration and reuses it across prescreen,
-//! sampler and exhaustive check; the one-time sealing cost is
-//! reported in the `compile_us` column), the interpreted
-//! zero-clone undo-log engine with ample-set partial-order reduction
-//! and thread-symmetry canonicalization (`undo-por`), the same
-//! interpreter with only symmetry (`undo-sym`), with full
-//! interleaving expansion and identity canonicalization (`undo`), and
-//! the reference clone-per-transition engine (`clone`).
-//! The `undo` and `clone` rows sweep the identical state space end to
-//! end; the `undo-por` and `undo-sym` rows visit provably sufficient
-//! subsets of it, and the `states` / `states_pruned` / `sym_collapses`
-//! columns quantify each reduction. The Table 1 workers all read
-//! their fork index (senses, fork slots), so on those rows the sound
-//! asymmetry fallback keeps `undo-sym` identical to `undo`; the
-//! `symcounter` workload is genuinely symmetric and shows the orbit
-//! collapse.
+//! and peak RSS on Table 1 workloads, comparing four engine
+//! configurations on the *same* resolved candidate. Three run the
+//! candidate sealed into a hole-free micro-op program once per
+//! workload — as CEGIS seals it once per iteration and reuses it
+//! across prescreen, sampler and exhaustive check; the one-time
+//! sealing cost is reported in the `compile_us` column — on the
+//! zero-clone undo-log engine: with ample-set partial-order reduction
+//! over candidate-sharpened masks and thread-symmetry canonicalization
+//! (`compiled-por`, the default configuration), with only symmetry
+//! (`compiled-sym`), and with full interleaving expansion and identity
+//! canonicalization (`compiled`). The fourth is the reference
+//! clone-per-transition engine (`clone`).
+//! The `compiled` and `clone` rows sweep the identical state space end
+//! to end; the `compiled-por` and `compiled-sym` rows visit provably
+//! sufficient subsets of it, and the `states` / `states_pruned` /
+//! `sym_collapses` columns quantify each reduction. The Table 1
+//! workers all read their fork index (senses, fork slots), so on
+//! those rows the sound asymmetry fallback keeps `compiled-sym`
+//! identical to `compiled`; the `symcounter` workload is genuinely
+//! symmetric and shows the orbit collapse.
 //!
 //! Each workload is first synthesised to completion; the winning
 //! candidate's exhaustive verification — the hot path of every CEGIS
@@ -40,8 +39,8 @@
 use psketch_bench::{Harness, JsonValue, JsonWriter};
 use psketch_core::{mem, Options, Synthesis};
 use psketch_exec::{
-    check_compiled, check_with_limits, reference::check_ref_with_limit, CheckOutcome,
-    CompiledProgram, SearchLimits, Verdict,
+    check_compiled, reference::check_ref_with_limit, CheckOutcome, CompiledProgram, SearchLimits,
+    Verdict,
 };
 use psketch_ir::{Assignment, Config};
 use psketch_suite::barrier::{barrier_source, BarrierVariant};
@@ -160,45 +159,20 @@ fn main() {
         // timed sweep.
         let cp = CompiledProgram::compile(lowered, &candidate);
 
+        let cp_ref = &cp;
+        let sealed = |por: bool, symmetry: bool| {
+            let limits = SearchLimits {
+                por,
+                symmetry,
+                ..SearchLimits::states(MAX_STATES)
+            };
+            move || check_compiled(black_box(cp_ref), &limits)
+        };
         type Engine<'a> = (&'static str, Box<dyn Fn() -> CheckOutcome + 'a>);
-        let engines: [Engine; 5] = [
-            (
-                "compiled-por",
-                Box::new(|| check_compiled(black_box(&cp), &SearchLimits::states(MAX_STATES))),
-            ),
-            (
-                "undo-por",
-                Box::new(|| {
-                    let limits = SearchLimits {
-                        compile: false,
-                        ..SearchLimits::states(MAX_STATES)
-                    };
-                    check_with_limits(black_box(lowered), black_box(&candidate), &limits)
-                }),
-            ),
-            (
-                "undo-sym",
-                Box::new(|| {
-                    let limits = SearchLimits {
-                        por: false,
-                        compile: false,
-                        ..SearchLimits::states(MAX_STATES)
-                    };
-                    check_with_limits(black_box(lowered), black_box(&candidate), &limits)
-                }),
-            ),
-            (
-                "undo",
-                Box::new(|| {
-                    let limits = SearchLimits {
-                        por: false,
-                        symmetry: false,
-                        compile: false,
-                        ..SearchLimits::states(MAX_STATES)
-                    };
-                    check_with_limits(black_box(lowered), black_box(&candidate), &limits)
-                }),
-            ),
+        let engines: [Engine; 4] = [
+            ("compiled-por", Box::new(sealed(true, true))),
+            ("compiled-sym", Box::new(sealed(false, true))),
+            ("compiled", Box::new(sealed(false, false))),
             (
                 "clone",
                 Box::new(|| {
@@ -356,22 +330,21 @@ fn main() {
         (
             "note",
             JsonValue::Str(
-                "undo and clone sweep the identical state space of the \
-                 resolved candidate; undo-por (ample-set reduction + \
-                 thread-symmetry canonicalization) and undo-sym \
-                 (symmetry only) explore sound subsets. compiled-por \
-                 is the default configuration: the candidate is sealed \
-                 once into a hole-free micro-op program — as CEGIS \
-                 seals once per iteration and reuses the artifact \
-                 across prescreen, sampler and exhaustive check — \
-                 with candidate-sharpened POR masks (sharpened_masks) \
-                 and then swept with both reductions; the one-time \
-                 sealing cost is the compile_us column, outside the \
-                 timed sweep. When sharpened_masks is 0 the \
-                 compiled-por state count matches undo-por exactly. \
+                "compiled and clone sweep the identical state space of \
+                 the resolved candidate; compiled-por (ample-set \
+                 reduction + thread-symmetry canonicalization) and \
+                 compiled-sym (symmetry only) explore sound subsets. \
+                 The three compiled rows share one artifact: the \
+                 candidate is sealed once into a hole-free micro-op \
+                 program — as CEGIS seals once per iteration and \
+                 reuses the artifact across prescreen, sampler and \
+                 exhaustive check — with candidate-sharpened POR masks \
+                 (sharpened_masks); the one-time sealing cost is the \
+                 compile_us column, outside the timed sweep. \
+                 compiled-por is the default configuration. \
                  Table 1 workers read their fork index, so the sound \
-                 deferred-sort fallback keeps undo-sym state counts \
-                 equal to undo there (nonzero sym_collapses on the \
+                 deferred-sort fallback keeps compiled-sym state counts \
+                 equal to compiled there (nonzero sym_collapses on the \
                  barrier rows are noncanonical revisits, not orbit \
                  merges); the symcounter row is genuinely symmetric \
                  and shows the real orbit collapse. \

@@ -3,9 +3,8 @@
 use crate::mem;
 use crate::telemetry::{BudgetKind, BudgetTrip, IterationRecord, RunReport};
 use psketch_exec::{
-    check_compiled, check_parallel_compiled, check_parallel_limits, check_with_limits, random_run,
-    random_run_compiled, CexTrace, CompiledProgram, FailureKind, Interrupt, ScheduleBank,
-    SearchLimits, Verdict,
+    check_parallel_compiled, random_run_compiled, CexTrace, CompiledProgram, FailureKind,
+    Interrupt, ScheduleBank, SearchLimits, Verdict,
 };
 use psketch_ir::{desugar, lower, resolve, Assignment, Config, Lowered};
 use psketch_lang::ast::Program;
@@ -76,10 +75,10 @@ pub struct Options {
     /// run ([`Options::max_states`] bounds each single call). When the
     /// total reaches it, the run returns unknown with a [`BudgetTrip`].
     pub state_budget: Option<usize>,
-    /// Resident-set budget in bytes, polled by a watchdog thread via
-    /// `/proc/self/status`. Exceeding it cancels the run cooperatively
-    /// (unknown + [`BudgetTrip`]). Ignored where `/proc` is
-    /// unavailable.
+    /// Resident-set budget in bytes, read from `/proc/self/status` at
+    /// the top of every CEGIS iteration and polled by a watchdog thread
+    /// in between. Exceeding it stops the run cooperatively (unknown +
+    /// [`BudgetTrip`]). Ignored where `/proc` is unavailable.
     pub memory_budget: Option<u64>,
     /// Ample-set partial-order reduction inside the exhaustive checker
     /// (on by default). Sound for every verdict the checker reports;
@@ -101,12 +100,10 @@ pub struct Options {
     /// Maximum schedules the bank retains before evicting the entry
     /// with the fewest kills (`--bank-cap`).
     pub bank_capacity: usize,
-    /// Compile each candidate once into a sealed
-    /// [`psketch_exec::CompiledProgram`] (on by default) and hand the
-    /// artifact to the prescreen, the sampler and the exhaustive
-    /// checker, instead of re-interpreting the hole tables in every
-    /// pass. Semantics-preserving; `--no-compile` keeps the
-    /// tree-walking interpreter reachable for differential debugging.
+    /// Has no effect: every candidate is sealed into a
+    /// [`psketch_exec::CompiledProgram`] that the prescreen, the
+    /// sampler and the exhaustive checker share. Kept so that code
+    /// naming the field still builds; it will be removed.
     pub compile: bool,
 }
 
@@ -217,11 +214,11 @@ pub struct CegisStats {
     /// Schedule-bank occupancy after the last verification call.
     pub bank_size: u64,
     /// Microseconds spent compiling candidates into sealed execution
-    /// artifacts (cumulative; 0 with `--no-compile`).
+    /// artifacts (cumulative).
     pub compile_us: u64,
     /// POR footprint masks the compiled candidates' constants made
     /// strictly tighter than the static analysis (cumulative over
-    /// verification calls; 0 with `--no-compile`).
+    /// verification calls).
     pub sharpened_masks: u64,
     /// Microseconds spent in incremental reseals (cumulative; included
     /// in `compile_us`, broken out so the fresh-vs-reseal ablation
@@ -359,11 +356,12 @@ impl Synthesis {
     /// Resource budgets ([`Options::wall_timeout`],
     /// [`Options::state_budget`], [`Options::memory_budget`]) are
     /// enforced here: the deadline and a shared cancellation flag are
-    /// threaded into the SAT solver and every checker search, and a
-    /// watchdog thread polls wall/RSS so even a phase that makes no
-    /// progress is cancelled. An over-budget run always terminates
-    /// with an unknown [`Outcome`] whose `budget_trip` names the
-    /// budget and the phase; partial statistics stay intact.
+    /// threaded into the SAT solver and every checker search, wall and
+    /// RSS are checked synchronously at the top of every iteration, and
+    /// a watchdog thread polls them in between so even a phase that
+    /// makes no progress is cancelled. An over-budget run always
+    /// terminates with an unknown [`Outcome`] whose `budget_trip` names
+    /// the budget and the phase; partial statistics stay intact.
     pub fn run_report(&self) -> (Outcome, RunReport) {
         let t0 = Instant::now();
         let mut stats = CegisStats {
@@ -397,51 +395,33 @@ impl Synthesis {
         // symmetry tables by reference. Cloning in/out is Arc-cheap.
         let prev_artifact: Mutex<Option<CompiledProgram<'_>>> = Mutex::new(None);
 
+        let memory_budget = self.options.memory_budget;
         std::thread::scope(|scope| {
-            if deadline.is_some() || self.options.memory_budget.is_some() {
-                let cancel = &cancel;
-                let trip = &trip;
-                let done = &done;
-                let memory_budget = self.options.memory_budget;
-                scope.spawn(move || {
-                    while !done.load(Ordering::Relaxed) {
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                set_trip(
-                                    trip,
-                                    BudgetTrip::new(
-                                        BudgetKind::Wall,
-                                        "watchdog",
-                                        "wall timeout expired",
-                                    ),
-                                );
-                                cancel.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                        if let Some(budget) = memory_budget {
-                            if mem::current_rss_bytes().is_some_and(|rss| rss > budget) {
-                                set_trip(
-                                    trip,
-                                    BudgetTrip::new(
-                                        BudgetKind::Memory,
-                                        "watchdog",
-                                        format!("resident set exceeded {budget} bytes"),
-                                    ),
-                                );
-                                cancel.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                });
-            }
-
+            let mut watchdog = deadline.is_some() || memory_budget.is_some();
             let mut batch_no = 0usize;
             'cegis: while stats.iterations < self.options.max_iterations {
                 if cancel.load(Ordering::Relaxed) {
                     break;
+                }
+                if let Some(t) = poll_budgets(deadline, memory_budget, ITERATION_PHASE) {
+                    set_trip(&trip, t);
+                    break;
+                }
+                // Spawned only after the first synchronous check, so a
+                // budget already exceeded at the start always trips
+                // there, never in a race with the watchdog.
+                if std::mem::take(&mut watchdog) {
+                    let (cancel, trip, done) = (&cancel, &trip, &done);
+                    scope.spawn(move || {
+                        while !done.load(Ordering::Relaxed) {
+                            if let Some(t) = poll_budgets(deadline, memory_budget, "watchdog") {
+                                set_trip(trip, t);
+                                cancel.store(true, Ordering::Relaxed);
+                                return;
+                            }
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                    });
                 }
                 // Each call's state limit is the per-call max, shrunk
                 // to whatever remains of the cumulative budget.
@@ -470,7 +450,7 @@ impl Synthesis {
                     cancel: Some(cancel.clone()),
                     por: self.options.por,
                     symmetry: self.options.symmetry,
-                    compile: self.options.compile,
+                    ..SearchLimits::default()
                 };
                 let k = width.min(self.options.max_iterations - stats.iterations);
                 let candidates = match synth.next_candidates(k) {
@@ -709,7 +689,6 @@ impl Synthesis {
         SearchLimits {
             por: self.options.por,
             symmetry: self.options.symmetry,
-            compile: self.options.compile,
             ..SearchLimits::states(self.options.max_states)
         }
     }
@@ -770,38 +749,29 @@ impl Synthesis {
             Mode::Harness => {
                 // Seal once per candidate: the prescreen, the sampler
                 // and the exhaustive checker below all share this one
-                // artifact instead of re-interpreting the hole table
-                // per pass. When a previous iteration's artifact is
+                // artifact. When a previous iteration's artifact is
                 // available, reseal incrementally — only threads whose
                 // hole values changed re-emit; clones in and out of the
                 // slot are Arc-cheap pointer bumps.
-                let compiled = self.options.compile.then(|| {
-                    let base = prev
-                        .and_then(|m| m.lock().expect("previous-artifact slot poisoned").clone());
-                    let cp = match &base {
-                        Some(p) => CompiledProgram::reseal(p, &self.lowered, candidate),
-                        None => CompiledProgram::compile(&self.lowered, candidate),
-                    };
-                    if let Some(m) = prev {
-                        *m.lock().expect("previous-artifact slot poisoned") = Some(cp.clone());
-                    }
-                    cp
-                });
-                if let Some(cp) = &compiled {
-                    effort.compile_us = cp.compile_us();
-                    effort.reseal_us = cp.reseal_us();
-                    effort.threads_reused = cp.threads_reused();
-                    effort.sharpened_masks = cp.sharpened_masks();
+                let base =
+                    prev.and_then(|m| m.lock().expect("previous-artifact slot poisoned").clone());
+                let cp = match &base {
+                    Some(p) => CompiledProgram::reseal(p, &self.lowered, candidate),
+                    None => CompiledProgram::compile(&self.lowered, candidate),
+                };
+                if let Some(m) = prev {
+                    *m.lock().expect("previous-artifact slot poisoned") = Some(cp.clone());
                 }
+                effort.compile_us = cp.compile_us();
+                effort.reseal_us = cp.reseal_us();
+                effort.threads_reused = cp.threads_reused();
+                effort.sharpened_masks = cp.sharpened_masks();
                 // Prescreen: replay the schedules that killed earlier
                 // candidates before paying for any search. A hit is a
                 // real execution of *this* candidate, so returning its
                 // trace is sound; a miss just falls through.
                 if let Some(bank) = bank {
-                    let (hit, bs) = match &compiled {
-                        Some(cp) => bank.prescreen_compiled(cp),
-                        None => bank.prescreen(&self.lowered, candidate),
-                    };
+                    let (hit, bs) = bank.prescreen_compiled(&cp);
                     effort.prescreen_replays = bs.replays;
                     effort.bank_size = bs.size;
                     if let Some(cex) = hit {
@@ -811,14 +781,9 @@ impl Synthesis {
                     }
                 }
                 if let VerifierKind::Hybrid { samples } = self.options.verifier {
-                    if let Some(cex) = self.sample_schedules(
-                        compiled.as_ref(),
-                        candidate,
-                        iteration,
-                        samples,
-                        threads,
-                        limits,
-                    ) {
+                    if let Some(cex) =
+                        self.sample_schedules(&cp, iteration, samples, threads, limits)
+                    {
                         effort.sampled_refutation = true;
                         effort.duration = t0.elapsed();
                         if let Some(bank) = bank {
@@ -828,14 +793,7 @@ impl Synthesis {
                         return (VerifyResult::Trace(cex), effort);
                     }
                 }
-                let out = match (&compiled, threads > 1) {
-                    (Some(cp), true) => check_parallel_compiled(cp, limits, threads),
-                    (Some(cp), false) => check_compiled(cp, limits),
-                    (None, true) => {
-                        check_parallel_limits(&self.lowered, candidate, limits, threads)
-                    }
-                    (None, false) => check_with_limits(&self.lowered, candidate, limits),
-                };
+                let out = check_parallel_compiled(&cp, limits, threads);
                 effort.states = out.stats.states;
                 effort.transitions = out.stats.transitions;
                 effort.terminal_states = out.stats.terminal_states;
@@ -892,18 +850,13 @@ impl Synthesis {
     /// schedule set.
     fn sample_schedules(
         &self,
-        compiled: Option<&CompiledProgram>,
-        candidate: &Assignment,
+        cp: &CompiledProgram,
         iteration: usize,
         samples: usize,
         threads: usize,
         limits: &SearchLimits,
     ) -> Option<CexTrace> {
-        let seed = |k: usize| (iteration as u64) << 16 | k as u64;
-        let run = |k: usize| match compiled {
-            Some(cp) => random_run_compiled(cp, seed(k)),
-            None => random_run(&self.lowered, candidate, seed(k)),
-        };
+        let run = |k: usize| random_run_compiled(cp, (iteration as u64) << 16 | k as u64);
         // Over-budget sampling gives up (returning "no refutation");
         // the exhaustive pass that follows trips immediately and
         // reports the interrupt.
@@ -1051,6 +1004,36 @@ fn trace_key(cex: &CexTrace) -> TraceKey {
         cex.failure.step,
         cex.deadlock.clone(),
     )
+}
+
+/// The phase a budget found exceeded by the synchronous check at the
+/// top of a CEGIS iteration is attributed to.
+const ITERATION_PHASE: &str = "iteration";
+
+/// Checks the wall deadline, then the resident-set budget, once. The
+/// first one exceeded comes back as a trip attributed to `phase`. Both
+/// the synchronous check at the top of every CEGIS iteration and the
+/// watchdog thread call this.
+fn poll_budgets(
+    deadline: Option<Instant>,
+    memory_budget: Option<u64>,
+    phase: &str,
+) -> Option<BudgetTrip> {
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Some(BudgetTrip::new(
+            BudgetKind::Wall,
+            phase,
+            "wall timeout expired",
+        ));
+    }
+    let budget = memory_budget?;
+    (mem::current_rss_bytes()? > budget).then(|| {
+        BudgetTrip::new(
+            BudgetKind::Memory,
+            phase,
+            format!("resident set exceeded {budget} bytes"),
+        )
+    })
 }
 
 /// Records the first budget trip; later trips lose.
@@ -1273,11 +1256,6 @@ mod tests {
         }
         let opts = Options {
             memory_budget: Some(1), // Any process exceeds one byte.
-            // Full expansion on the interpreted engine keeps the search
-            // running long enough for the 5ms-polling watchdog to
-            // observe and cancel it.
-            por: false,
-            compile: false,
             ..Options::default()
         };
         let out = Synthesis::new(
@@ -1293,7 +1271,29 @@ mod tests {
         assert!(!out.resolved());
         let trip = out.budget_trip.expect("memory budget must trip");
         assert_eq!(trip.budget, BudgetKind::Memory);
-        assert_eq!(trip.phase, "watchdog");
+        // The synchronous check before the first iteration trips it,
+        // before the watchdog thread exists.
+        assert_eq!(trip.phase, ITERATION_PHASE);
+        assert_eq!(out.stats.iterations, 0);
+    }
+
+    #[test]
+    fn poll_budgets_reports_the_exceeded_budget() {
+        let past = Instant::now() - Duration::from_millis(1);
+        let future = Instant::now() + Duration::from_secs(3600);
+        assert_eq!(poll_budgets(None, None, "p"), None);
+        assert_eq!(poll_budgets(Some(future), None, "p"), None);
+        let wall = poll_budgets(Some(past), None, "p").expect("deadline passed");
+        assert_eq!((wall.budget, wall.phase.as_str()), (BudgetKind::Wall, "p"));
+        // The deadline is checked first.
+        let both = poll_budgets(Some(past), Some(1), "q").expect("deadline passed");
+        assert_eq!(both.budget, BudgetKind::Wall);
+        if mem::current_rss_bytes().is_none() {
+            return; // No /proc: the memory budget is inert.
+        }
+        assert_eq!(poll_budgets(Some(future), Some(u64::MAX), "p"), None);
+        let rss = poll_budgets(Some(future), Some(1), "r").expect("any process exceeds a byte");
+        assert_eq!((rss.budget, rss.phase.as_str()), (BudgetKind::Memory, "r"));
     }
 
     #[test]

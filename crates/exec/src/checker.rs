@@ -5,6 +5,12 @@
 //! masked out of the canonical state to merge equivalent paths) and
 //! exact counterexample-trace extraction.
 //!
+//! Every engine runs a candidate sealed into a [`CompiledProgram`]:
+//! the `(Lowered, Assignment)` entry points ([`check`], [`replay`],
+//! [`random_run`], …) seal first and then run the artifact, so there is
+//! one concrete executor and [`crate::reference`] is the only other
+//! semantics of the IR.
+//!
 //! The search is **zero-clone**: one live [`StateBuf`] is mutated in
 //! place as transitions fire, every write is recorded in an
 //! [`UndoJournal`], and backtracking reverts the journal to the frame's
@@ -19,10 +25,9 @@ use crate::compiled::{exec_cop, COp, CompiledProgram, ThreadCode};
 use crate::fingerprint::{cell_hash, combine_fp, FpHasher, FpSet};
 use crate::por::PorTable;
 use crate::store::{
-    eval_rv, exec_op, CexTrace, EvalResult, Failure, FailureKind, StateBuf, StateLayout,
-    UndoJournal,
+    CexTrace, EvalResult, Failure, FailureKind, StateBuf, StateLayout, UndoJournal,
 };
-use psketch_ir::symmetry::{symmetry_classes, SymClass, SymmetryClasses};
+use psketch_ir::symmetry::{SymClass, SymmetryClasses};
 use psketch_ir::{Assignment, Lowered, Lv, Op, Rv, Thread, ThreadId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -85,14 +90,9 @@ pub struct SearchLimits {
     /// ids. Workers detected as asymmetric fall back soundly to
     /// identity canonicalization.
     pub symmetry: bool,
-    /// Compile the candidate into a [`crate::CompiledProgram`] before
-    /// searching (on by default): holes substituted, guards folded,
-    /// steps flattened to micro-op arrays, POR masks sharpened by the
-    /// candidate's constants. Semantics-preserving — verdicts, state
-    /// counts and schedules match the interpreted engine (POR may
-    /// prune *more* states when sharpening helps). Turn off
-    /// (`--no-compile` in the CLIs) to keep the tree-walking
-    /// interpreter reachable for differential debugging.
+    /// Has no effect: every engine runs the candidate sealed into a
+    /// [`crate::CompiledProgram`]. Kept so that struct literals naming
+    /// the field still build; it will be removed.
     pub compile: bool,
 }
 
@@ -184,23 +184,16 @@ pub struct CheckStats {
     /// against a symmetry-off search.
     pub sym_collapses: u64,
     /// Microseconds spent compiling the candidate into its sealed
-    /// execution artifact (0 on the interpreted path).
+    /// execution artifact.
     pub compile_us: u64,
     /// (worker, pc) POR footprint masks the candidate's constants made
-    /// strictly tighter than the static analysis (0 on the interpreted
-    /// path, which always uses the static masks).
+    /// strictly tighter than the static analysis.
     pub sharpened_masks: u64,
-    /// Per-run owned POR-table materializations: the interpreted paths
-    /// build one static table per run; engines running a shared
-    /// [`CompiledProgram`] borrow the artifact's tables and report 0.
-    /// The shared-table differential test pins this at zero.
-    pub table_clones: u64,
     /// Microseconds the incremental reseal took when the artifact was
-    /// produced by [`CompiledProgram::reseal`] (0 for fresh compiles
-    /// and the interpreted path).
+    /// produced by [`CompiledProgram::reseal`] (0 for fresh compiles).
     pub reseal_us: u64,
     /// Threads whose micro-op arrays the reseal reused by reference (0
-    /// for fresh compiles and the interpreted path).
+    /// for fresh compiles).
     pub threads_reused: u64,
 }
 
@@ -244,21 +237,14 @@ pub fn check_with_limit(l: &Lowered, candidate: &Assignment, max_states: usize) 
 
 /// As [`check`], under full cooperative [`SearchLimits`] (state bound,
 /// wall deadline, external cancellation). Partial statistics are
-/// reported on every exit path.
+/// reported on every exit path. Seals the candidate, then runs
+/// [`check_compiled`].
 pub fn check_with_limits(
     l: &Lowered,
     candidate: &Assignment,
     limits: &SearchLimits,
 ) -> CheckOutcome {
-    if limits.compile {
-        let cp = CompiledProgram::compile(l, candidate);
-        return check_compiled(&cp, limits);
-    }
-    if limits.symmetry {
-        Checker::with_symmetry(l, candidate).run(limits)
-    } else {
-        Checker::new(l, candidate).run(limits)
-    }
+    check_compiled(&CompiledProgram::compile(l, candidate), limits)
 }
 
 /// As [`check_with_limits`], over an already-compiled candidate.
@@ -298,14 +284,13 @@ pub(crate) fn early_failure_stats(steps: &[(ThreadId, usize)]) -> CheckStats {
 /// carries the workers *actually* fired as its own `schedule`, so it
 /// replays exactly even when the input schedule skipped disabled
 /// entries. Used by tests, counterexample double-checking and the
-/// schedule-bank prescreen ([`crate::ScheduleBank`]).
+/// schedule-bank prescreen ([`crate::ScheduleBank`]). Seals the
+/// candidate, then runs [`replay_compiled`].
 pub fn replay(l: &Lowered, candidate: &Assignment, schedule: &[usize]) -> Option<CexTrace> {
     replay_fp(l, candidate, schedule).0
 }
 
-/// As [`replay`], over an already-compiled candidate. Schedules and
-/// traces are identical to the interpreted replay's; only the step
-/// execution runs on the micro-op code.
+/// As [`replay`], over an already-compiled candidate.
 pub fn replay_compiled(cp: &CompiledProgram, schedule: &[usize]) -> Option<CexTrace> {
     replay_fp_compiled(cp, schedule).0
 }
@@ -332,7 +317,7 @@ pub fn replay_fp(
     candidate: &Assignment,
     schedule: &[usize],
 ) -> (Option<CexTrace>, u64) {
-    replay_fp_with(&Checker::new(l, candidate), schedule)
+    replay_fp_compiled(&CompiledProgram::compile(l, candidate), schedule)
 }
 
 fn replay_fp_with(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, u64) {
@@ -445,19 +430,15 @@ fn replay_fp_with(ck: &Checker<'_>, schedule: &[usize]) -> (Option<CexTrace>, u6
 ///
 /// Cheap, *incomplete* verification: used by the hybrid strategy that
 /// samples schedules before paying for the exhaustive search. A `None`
-/// result says nothing about other interleavings.
+/// result says nothing about other interleavings. Seals the candidate,
+/// then runs [`random_run_compiled`].
 pub fn random_run(l: &Lowered, candidate: &Assignment, seed: u64) -> Option<CexTrace> {
-    random_run_with(&Checker::new(l, candidate), seed)
+    random_run_compiled(&CompiledProgram::compile(l, candidate), seed)
 }
 
-/// As [`random_run`], over an already-compiled candidate. The seeded
-/// scheduler and the resulting schedule are identical to the
-/// interpreted sampler's.
+/// As [`random_run`], over an already-compiled candidate.
 pub fn random_run_compiled(cp: &CompiledProgram, seed: u64) -> Option<CexTrace> {
-    random_run_with(&Checker::from_compiled(cp, false), seed)
-}
-
-fn random_run_with(ck: &Checker<'_>, seed: u64) -> Option<CexTrace> {
+    let ck = Checker::from_compiled(cp, false);
     let l = ck.l;
     let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15).max(1);
     let mut next = move || {
@@ -540,12 +521,16 @@ fn random_run_with(ck: &Checker<'_>, seed: u64) -> Option<CexTrace> {
     }
 }
 
+/// The transition system of one sealed candidate: every guard and
+/// operation runs on the artifact's micro-op code, while the step
+/// structure (`shared` flags, atomic sections, spans) is read off the
+/// original program.
 pub(crate) struct Checker<'a> {
     pub(crate) l: &'a Lowered,
-    holes: &'a Assignment,
-    /// Segment table of the flat state. Shared by reference with the
-    /// sealed artifact (and every sibling engine) when built via
-    /// [`Checker::from_compiled`]; owned only on the interpreted path.
+    /// The sealed artifact this checker runs.
+    cp: &'a CompiledProgram<'a>,
+    /// Segment table of the flat state, shared by reference with the
+    /// artifact (and every sibling engine).
     pub(crate) lay: Arc<StateLayout>,
     /// Words before the first worker record (globals + heap + allocs):
     /// hashed as one contiguous slice.
@@ -556,51 +541,29 @@ pub(crate) struct Checker<'a> {
     /// `live[w][pc]` = bitmask words of locals read at step >= pc.
     live: Arc<Vec<Vec<Vec<u64>>>>,
     /// Thread-symmetry classes (empty = identity canonicalization).
-    /// Only the search constructors ([`Checker::with_symmetry`])
-    /// populate this; replay and sampling always run symmetry-free so
-    /// recorded schedules and fingerprints stay engine-independent.
+    /// Only searches with [`SearchLimits::symmetry`] populate this;
+    /// replay and sampling always run symmetry-free so recorded
+    /// schedules and fingerprints stay engine-independent.
     sym: Arc<SymmetryClasses>,
-    /// Per-thread micro-op arrays when this checker runs a
-    /// [`CompiledProgram`] (`None` = interpret the `Rv`/`Op` trees).
-    /// Indexed by trace thread id, like `l`'s threads.
-    code: Option<&'a [Arc<ThreadCode>]>,
-    /// Candidate-sharpened POR tables borrowed from the artifact;
-    /// `run` uses these instead of building static tables.
-    por_pre: Option<&'a PorTable>,
+    /// Per-thread micro-op arrays, indexed by trace thread id like
+    /// `l`'s threads.
+    code: &'a [Arc<ThreadCode>],
 }
 
 pub(crate) type FireResult = Result<Vec<(ThreadId, usize)>, (Vec<(ThreadId, usize)>, Failure)>;
 
 impl<'a> Checker<'a> {
-    pub(crate) fn new(l: &'a Lowered, holes: &'a Assignment) -> Checker<'a> {
-        let lay = Arc::new(StateLayout::new(l));
-        let shared_len = lay.worker_off.first().copied().unwrap_or(lay.state_len());
-        let match_end = Arc::new(l.workers.iter().map(compute_match_end).collect());
-        let live = Arc::new(l.workers.iter().map(compute_liveness).collect());
-        Checker {
-            l,
-            holes,
-            lay,
-            shared_len,
-            match_end,
-            live,
-            sym: Arc::new(SymmetryClasses::default()),
-            code: None,
-            por_pre: None,
-        }
-    }
-
     /// A checker over a sealed [`CompiledProgram`]: the hot path runs
     /// the artifact's micro-op arrays, POR uses its candidate-sharpened
     /// masks, and the precomputed layout/liveness/symmetry analyses are
     /// shared by `Arc` — construction performs zero deep table copies.
     /// Liveness and symmetry come from the *original* program, so
-    /// fingerprints, canonical vectors and state counts are bit-for-bit
-    /// the interpreted engine's.
+    /// fingerprints and canonical vectors are those of the reference
+    /// engine's state identity.
     pub(crate) fn from_compiled(cp: &'a CompiledProgram<'a>, symmetry: bool) -> Checker<'a> {
         Checker {
             l: cp.program(),
-            holes: cp.assignment(),
+            cp,
             lay: Arc::clone(&cp.lay),
             shared_len: cp.shared_len,
             match_end: Arc::clone(&cp.match_end),
@@ -610,21 +573,8 @@ impl<'a> Checker<'a> {
             } else {
                 Arc::new(SymmetryClasses::default())
             },
-            code: Some(&cp.code),
-            por_pre: cp.por_table(),
+            code: &cp.code,
         }
-    }
-
-    /// As [`Checker::new`], additionally computing the candidate's
-    /// thread-symmetry classes so fingerprints and canonical vectors
-    /// identify permutations of interchangeable workers. Used by the
-    /// search engines when [`SearchLimits::symmetry`] is on; replay
-    /// paths keep [`Checker::new`] so schedules and replay fingerprints
-    /// never depend on the reduction.
-    pub(crate) fn with_symmetry(l: &'a Lowered, holes: &'a Assignment) -> Checker<'a> {
-        let mut ck = Checker::new(l, holes);
-        ck.sym = Arc::new(symmetry_classes(l, holes));
-        ck
     }
 
     /// True when some workers are interchangeable (non-identity
@@ -661,43 +611,21 @@ impl<'a> Checker<'a> {
         worker + 1
     }
 
-    /// Evaluates the guard of step `ix` of thread `tid`: the
-    /// artifact's micro-op code when this checker is compiled, tree
-    /// interpretation otherwise. `tid` is the trace thread id (0 =
-    /// prologue, `w + 1` = worker `w`, `n + 1` = epilogue), which is
-    /// also the artifact's code index.
+    /// Evaluates the guard of step `ix` of thread `tid`. `tid` is the
+    /// trace thread id (0 = prologue, `w + 1` = worker `w`, `n + 1` =
+    /// epilogue), which is also the artifact's code index.
     #[inline]
-    fn eval_guard(
-        &self,
-        tid: ThreadId,
-        ix: usize,
-        guard: &Rv,
-        buf: &StateBuf,
-        lb: usize,
-    ) -> EvalResult {
-        match self.code {
-            Some(code) => code[tid].steps[ix].guard.eval(buf, lb, &self.l.config),
-            None => eval_rv(guard, buf, &self.lay, lb, self.holes, self.l),
-        }
+    fn eval_guard(&self, tid: ThreadId, ix: usize, buf: &StateBuf, lb: usize) -> EvalResult {
+        self.code[tid].steps[ix].guard.eval(buf, lb, &self.l.config)
     }
 
     /// Evaluates the blocking condition of the `AtomicBegin` at step
     /// `ix` of thread `tid` (see [`Checker::eval_guard`]).
     #[inline]
-    fn eval_atomic_cond(
-        &self,
-        tid: ThreadId,
-        ix: usize,
-        cond: &Rv,
-        buf: &StateBuf,
-        lb: usize,
-    ) -> EvalResult {
-        match self.code {
-            Some(code) => match &code[tid].steps[ix].op {
-                COp::AtomicBegin(Some(c)) => c.eval(buf, lb, &self.l.config),
-                _ => unreachable!("source step is AtomicBegin(Some(_))"),
-            },
-            None => eval_rv(cond, buf, &self.lay, lb, self.holes, self.l),
+    fn eval_atomic_cond(&self, tid: ThreadId, ix: usize, buf: &StateBuf, lb: usize) -> EvalResult {
+        match &self.code[tid].steps[ix].op {
+            COp::AtomicBegin(Some(c)) => c.eval(buf, lb, &self.l.config),
+            _ => unreachable!("source step is AtomicBegin(Some(_))"),
         }
     }
 
@@ -708,15 +636,11 @@ impl<'a> Checker<'a> {
         &self,
         tid: ThreadId,
         ix: usize,
-        op: &Op,
         buf: &mut StateBuf,
         lb: usize,
         j: &mut UndoJournal,
     ) -> Result<(), FailureKind> {
-        match self.code {
-            Some(code) => exec_cop(&code[tid].steps[ix].op, buf, lb, j, &self.l.config),
-            None => exec_op(op, buf, &self.lay, lb, j, self.holes, self.l),
-        }
+        exec_cop(&self.code[tid].steps[ix].op, buf, lb, j, &self.l.config)
     }
 
     /// Runs a sequential phase (prologue/epilogue) to completion. The
@@ -752,7 +676,7 @@ impl<'a> Checker<'a> {
             // trace: the projection must replay the witness statement
             // at its observed position so that `fail(Sk_t[c])` fires
             // for the candidate that produced the trace.
-            let g = match self.eval_guard(tid, ix, &step.guard, buf, lb) {
+            let g = match self.eval_guard(tid, ix, buf, lb) {
                 Ok(v) => v != 0,
                 Err(kind) => {
                     steps.push((tid, ix));
@@ -770,8 +694,8 @@ impl<'a> Checker<'a> {
             if !g {
                 continue;
             }
-            if let Op::AtomicBegin(Some(cond)) = &step.op {
-                let c = match self.eval_atomic_cond(tid, ix, cond, buf, lb) {
+            if let Op::AtomicBegin(Some(_)) = &step.op {
+                let c = match self.eval_atomic_cond(tid, ix, buf, lb) {
                     Ok(v) => v != 0,
                     Err(kind) => {
                         steps.push((tid, ix));
@@ -799,7 +723,7 @@ impl<'a> Checker<'a> {
                     ));
                 }
             }
-            if let Err(kind) = self.exec_step(tid, ix, &step.op, buf, lb, j) {
+            if let Err(kind) = self.exec_step(tid, ix, buf, lb, j) {
                 steps.push((tid, ix));
                 return Err((
                     steps,
@@ -827,21 +751,19 @@ impl<'a> Checker<'a> {
             let Some(step) = thread.steps.get(pc) else {
                 return Ok(executed);
             };
-            let g = self
-                .eval_guard(tid, pc, &step.guard, buf, lb)
-                .map_err(|kind| {
-                    let mut with_witness = executed.clone();
-                    with_witness.push((tid, pc));
-                    (
-                        with_witness,
-                        Failure {
-                            kind,
-                            tid,
-                            step: pc,
-                            span: step.span,
-                        },
-                    )
-                })?;
+            let g = self.eval_guard(tid, pc, buf, lb).map_err(|kind| {
+                let mut with_witness = executed.clone();
+                with_witness.push((tid, pc));
+                (
+                    with_witness,
+                    Failure {
+                        kind,
+                        tid,
+                        step: pc,
+                        span: step.span,
+                    },
+                )
+            })?;
             if g == 0 {
                 self.set_pc(buf, w, pc + 1, j);
                 continue;
@@ -849,20 +771,19 @@ impl<'a> Checker<'a> {
             if step.shared || !self.l.config.reduce_local_steps {
                 return Ok(executed);
             }
-            self.exec_step(tid, pc, &step.op, buf, lb, j)
-                .map_err(|kind| {
-                    let mut with_witness = executed.clone();
-                    with_witness.push((tid, pc));
-                    (
-                        with_witness,
-                        Failure {
-                            kind,
-                            tid,
-                            step: pc,
-                            span: step.span,
-                        },
-                    )
-                })?;
+            self.exec_step(tid, pc, buf, lb, j).map_err(|kind| {
+                let mut with_witness = executed.clone();
+                with_witness.push((tid, pc));
+                (
+                    with_witness,
+                    Failure {
+                        kind,
+                        tid,
+                        step: pc,
+                        span: step.span,
+                    },
+                )
+            })?;
             executed.push((tid, pc));
             self.set_pc(buf, w, pc + 1, j);
         }
@@ -919,14 +840,8 @@ impl<'a> Checker<'a> {
         let pc = self.pc(buf, w);
         let step = &self.l.workers[w].steps[pc];
         match &step.op {
-            Op::AtomicBegin(Some(cond)) => matches!(
-                self.eval_atomic_cond(
-                    self.trace_tid(w),
-                    pc,
-                    cond,
-                    buf,
-                    self.lay.worker_locals(w)
-                ),
+            Op::AtomicBegin(Some(_)) => matches!(
+                self.eval_atomic_cond(self.trace_tid(w), pc, buf, self.lay.worker_locals(w)),
                 Ok(v) if v != 0
             ),
             _ => true,
@@ -961,14 +876,13 @@ impl<'a> Checker<'a> {
                 executed.push((tid, pc));
                 let end = self.match_end[w][pc];
                 for ix in pc + 1..end {
-                    let s = &thread.steps[ix];
                     let g = self
-                        .eval_guard(tid, ix, &s.guard, buf, lb)
+                        .eval_guard(tid, ix, buf, lb)
                         .map_err(|k| fail(executed.clone(), k, ix))?;
                     if g == 0 {
                         continue;
                     }
-                    self.exec_step(tid, ix, &s.op, buf, lb, j)
+                    self.exec_step(tid, ix, buf, lb, j)
                         .map_err(|k| fail(executed.clone(), k, ix))?;
                     executed.push((tid, ix));
                 }
@@ -976,7 +890,7 @@ impl<'a> Checker<'a> {
                 self.set_pc(buf, w, end + 1, j);
             }
             _ => {
-                self.exec_step(tid, pc, &step.op, buf, lb, j)
+                self.exec_step(tid, pc, buf, lb, j)
                     .map_err(|k| fail(executed.clone(), k, pc))?;
                 executed.push((tid, pc));
                 self.set_pc(buf, w, pc + 1, j);
@@ -1241,11 +1155,8 @@ impl<'a> Checker<'a> {
                 pre.extend(steps);
                 // The root state is permanent: nothing undoes past it.
                 j.reset();
-                let wants = self.wants_por(limits);
-                let owned_por = (wants && self.por_pre.is_none()).then(|| PorTable::new(self.l));
-                stats.table_clones += u64::from(owned_por.is_some());
-                let por = if wants {
-                    self.por_pre.or(owned_por.as_ref())
+                let por = if self.wants_por(limits) {
+                    self.cp.por_table()
                 } else {
                     None
                 };
@@ -2058,7 +1969,8 @@ mod tests {
              }",
         );
         let a = l.holes.identity_assignment();
-        let ck = Checker::with_symmetry(&l, &a);
+        let cp = CompiledProgram::compile(&l, &a);
+        let ck = Checker::from_compiled(&cp, true);
         assert!(ck.has_symmetry(), "fork of one body must be symmetric");
         let mut buf = ck.initial_buf();
         let mut j = UndoJournal::new();
@@ -2079,7 +1991,7 @@ mod tests {
             ck.materialize_canonical(&permuted),
             "symmetric permutation must share one canonical vector"
         );
-        let plain = Checker::new(&l, &a);
+        let plain = Checker::from_compiled(&cp, false);
         assert_ne!(
             plain.fingerprint_state(&buf),
             plain.fingerprint_state(&permuted),
@@ -2100,10 +2012,11 @@ mod tests {
              }",
         );
         let a = l.holes.identity_assignment();
-        let ck = Checker::with_symmetry(&l, &a);
+        let cp = CompiledProgram::compile(&l, &a);
+        let ck = Checker::from_compiled(&cp, true);
         assert!(!ck.has_symmetry(), "pid() write must break symmetry");
         let buf = ck.initial_buf();
-        let plain = Checker::new(&l, &a);
+        let plain = Checker::from_compiled(&cp, false);
         assert_eq!(ck.fingerprint_state(&buf), plain.fingerprint_state(&buf));
         assert_eq!(
             ck.materialize_canonical(&buf),

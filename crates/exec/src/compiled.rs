@@ -1,11 +1,7 @@
 //! The compile-once candidate layer.
 //!
-//! Every engine in this crate used to pay for a candidate on each use:
-//! tree-walking `Rv`/`Op` with a hole-table lookup per `eval_rv` call,
-//! candidate-independent POR footprints, and a fresh analysis pass
-//! (layout, liveness, symmetry) per `Checker::new`. A
-//! [`CompiledProgram`] seals one `(Lowered, Assignment)` pair into a
-//! shared execution artifact instead:
+//! A [`CompiledProgram`] seals one `(Lowered, Assignment)` pair into
+//! the shared execution artifact every engine in this crate runs:
 //!
 //! - holes are substituted and folded *at emit time*: one walk over
 //!   the original trees streams micro-ops out while resolving holes
@@ -27,9 +23,9 @@
 //!   built on first diagnostic use, shared across the reseal family —
 //!   and surfaced via [`CompiledProgram::footprint_refines_static`]);
 //! - thread-symmetry classes and per-worker liveness masks are
-//!   computed from the *original* program, so compiled fingerprints,
-//!   canonical vectors and state counts are bit-for-bit those of the
-//!   interpreted engine — and they are computed *lazily*, on the
+//!   computed from the *original* program, so fingerprints and
+//!   canonical vectors identify states exactly as the reference
+//!   engine does — and they are computed *lazily*, on the
 //!   first checker construction that needs them: sealing a candidate
 //!   never pays for them, candidates rejected by replay prescreening
 //!   never build symmetry classes at all, and the
@@ -50,7 +46,8 @@
 //!
 //! The sequential DFS, the parallel engine, replay, sampling and the
 //! schedule-bank prescreen all consume the same artifact via
-//! `Checker::from_compiled`; [`crate::reference`] stays the uncompiled
+//! `Checker::from_compiled`; [`crate::reference`], which walks the
+//! trees, is the only other semantics of the IR and serves as the
 //! oracle.
 
 use crate::checker::{compute_liveness, compute_match_end};
@@ -144,8 +141,8 @@ pub(crate) struct Code {
 }
 
 impl Code {
-    /// Evaluates the code against the current state. Mirrors
-    /// `store::eval_rv` exactly, failure for failure.
+    /// Evaluates the code against the current state. Mirrors the
+    /// reference engine's tree evaluator exactly, failure for failure.
     #[inline]
     pub(crate) fn eval(
         &self,
@@ -399,7 +396,7 @@ pub(crate) struct ThreadCode {
 }
 
 /// Resolves a compiled write destination to its flat buffer offset.
-/// Mirrors `store::resolve_lv` exactly.
+/// Mirrors the reference engine's l-value resolution exactly.
 fn resolve_clv(
     lv: &CLv,
     buf: &StateBuf,
@@ -444,9 +441,9 @@ fn resolve_clv(
 }
 
 /// Executes one compiled operation (guard already known true),
-/// journaling every write. Mirrors `store::exec_op` operation for
-/// operation, in the same evaluation order, so failures and journal
-/// contents are identical to the interpreted engine's.
+/// journaling every write. Mirrors the reference engine's operation
+/// semantics operation for operation, in the same evaluation order,
+/// so failures are identical.
 pub(crate) fn exec_cop(
     op: &COp,
     buf: &mut StateBuf,
@@ -506,7 +503,8 @@ pub(crate) fn exec_cop(
                 buf.set(base + fid, default, j);
             }
             // Evaluate overrides before publishing the reference (they
-            // see the freshly written defaults, as in the interpreter).
+            // see the freshly written defaults, as in the reference
+            // engine).
             let mut vals = Vec::with_capacity(inits.len());
             for (fid, rv) in inits.iter() {
                 vals.push((*fid, rv.eval(buf, lb, config)?));
@@ -811,7 +809,7 @@ fn insert_before(out: &mut Vec<Ins>, at: usize, ins: Ins) {
 /// `max_stack`, same `const_val`. `scratch` is a reusable emission
 /// buffer (cleared here) so per-expression allocation is exactly one
 /// right-sized `Arc<[Ins]>`.
-fn compile_code_folded(
+pub(crate) fn compile_code_folded(
     rv: &Rv,
     holes: &Assignment,
     l: &Lowered,
@@ -869,7 +867,7 @@ fn compile_lv_folded(
 
 /// Compiles an operation with emit-time hole substitution in every
 /// r-value and l-value position, mirroring `fold_op`.
-fn compile_op_folded(
+pub(crate) fn compile_op_folded(
     op: &Op,
     holes: &Assignment,
     l: &Lowered,
@@ -1033,9 +1031,8 @@ pub struct CompiledProgram<'l> {
     /// The original (hole-bearing) program the artifact was sealed
     /// from. Kept borrowed: emit-time substitution never materializes
     /// a specialized copy. Trees are used for control decisions (step
-    /// structure, `shared` flags, spans); the hot path runs the
-    /// micro-op code, and any tree evaluation resolves holes through
-    /// `holes`.
+    /// structure, `shared` flags, spans); every guard and operation
+    /// runs on the micro-op code.
     l: &'l Lowered,
     /// The candidate this artifact was compiled from.
     holes: Assignment,
@@ -1047,8 +1044,7 @@ pub struct CompiledProgram<'l> {
     /// (candidate-independent: substitution preserves op kinds).
     pub(crate) match_end: Arc<Vec<Vec<usize>>>,
     /// Per-worker liveness masks, computed from the *original* program
-    /// so compiled fingerprints and state counts match the interpreted
-    /// engine's exactly. Lazy and candidate-independent: built on the
+    /// (substitution never changes which locals a step reads). Lazy and candidate-independent: built on the
     /// first checker construction and shared across the whole reseal
     /// family through the cell, so sealing a candidate never pays for
     /// it and no artifact recomputes it after any family member has.
@@ -1261,15 +1257,9 @@ impl<'l> CompiledProgram<'l> {
     }
 
     /// The program this artifact executes (the original, hole-bearing
-    /// `Lowered`; tree-level evaluation resolves holes through
-    /// [`CompiledProgram::assignment`]).
+    /// `Lowered`, whose step structure the engines read).
     pub fn program(&self) -> &'l Lowered {
         self.l
-    }
-
-    /// The candidate assignment the artifact was compiled from.
-    pub fn assignment(&self) -> &Assignment {
-        &self.holes
     }
 
     /// Wall-clock microseconds spent sealing this artifact (the fresh
@@ -1413,15 +1403,19 @@ mod tests {
         lower_program(&sk, holes, &cfg).unwrap()
     }
 
+    /// Evaluates `rv` in the initial state with four zeroed locals,
+    /// through the reference engine's tree evaluator and through
+    /// compiled code.
     fn eval_both(rv: &Rv, l: &Lowered) -> (EvalResult, EvalResult) {
         let lay = StateLayout::new(l);
         let mut buf = StateBuf::initial(&lay, l);
         let lb = buf.push_scratch(4);
         let holes = l.holes.identity_assignment();
-        let interp = crate::store::eval_rv(rv, &buf, &lay, lb, &holes, l);
+        let store = crate::reference::RefStore::initial(l);
+        let reference = crate::reference::eval_rv(rv, &store, &[0; 4], &holes, l);
         let code = compile_code_folded(rv, &holes, l, &lay, &mut Vec::new());
         let compiled = code.eval(&buf, lb, &l.config);
-        (interp, compiled)
+        (reference, compiled)
     }
 
     #[test]
@@ -1472,8 +1466,8 @@ mod tests {
             Rv::Binary(BinOp::Mod, Box::new(Rv::Const(7)), Box::new(Rv::Const(3))),
         ];
         for rv in cases {
-            let (interp, compiled) = eval_both(&rv, &l);
-            assert_eq!(interp, compiled, "divergence on {rv:?}");
+            let (reference, compiled) = eval_both(&rv, &l);
+            assert_eq!(reference, compiled, "divergence on {rv:?}");
         }
     }
 

@@ -65,13 +65,11 @@ struct QueueState {
 struct Shared<'a> {
     ck: Checker<'a>,
     limits: &'a SearchLimits,
-    /// Partial-order reduction tables (`None` = full expansion),
-    /// borrowed from the caller: the engine's own static tables on the
-    /// interpreted path, the artifact's candidate-sharpened ones on
-    /// the compiled path. Ample sets are a deterministic function of
-    /// the state, so every thread — and every thread *count* — reduces
-    /// to the same state graph, keeping the claim-based limit
-    /// semantics exact.
+    /// Partial-order reduction tables (`None` = full expansion): the
+    /// artifact's candidate-sharpened ones, borrowed. Ample sets are a
+    /// deterministic function of the state, so every thread — and
+    /// every thread *count* — reduces to the same state graph, keeping
+    /// the claim-based limit semantics exact.
     por: Option<&'a PorTable>,
     /// The post-prologue root state every steal re-clones.
     init: StateBuf,
@@ -165,27 +163,14 @@ pub fn check_parallel(
 /// every worker polls the cancellation flag on each node and the wall
 /// deadline every 64 nodes, so an over-budget search halts promptly
 /// with [`Verdict::Unknown`] and partial stats instead of running on.
+/// Seals the candidate, then runs [`check_parallel_compiled`].
 pub fn check_parallel_limits(
     l: &Lowered,
     candidate: &Assignment,
     limits: &SearchLimits,
     threads: usize,
 ) -> CheckOutcome {
-    if threads <= 1 {
-        return crate::check_with_limits(l, candidate, limits);
-    }
-    if limits.compile {
-        let cp = CompiledProgram::compile(l, candidate);
-        return check_parallel_compiled(&cp, limits, threads);
-    }
-    let ck = if limits.symmetry {
-        Checker::with_symmetry(l, candidate)
-    } else {
-        Checker::new(l, candidate)
-    };
-    let owned_por = ck.wants_por(limits).then(|| PorTable::new(l));
-    let table_clones = u64::from(owned_por.is_some());
-    run_parallel(ck, owned_por.as_ref(), limits, threads, table_clones)
+    check_parallel_compiled(&CompiledProgram::compile(l, candidate), limits, threads)
 }
 
 /// As [`check_parallel_limits`], over an already-compiled candidate:
@@ -206,7 +191,7 @@ pub fn check_parallel_compiled(
         None
     };
     // Tables are borrowed from the shared artifact — zero clones.
-    let mut out = run_parallel(ck, por, limits, threads, 0);
+    let mut out = run_parallel(ck, por, limits, threads);
     out.stats.compile_us += cp.compile_us();
     out.stats.sharpened_masks = cp.sharpened_masks();
     out.stats.reseal_us += cp.reseal_us();
@@ -219,7 +204,6 @@ fn run_parallel<'a>(
     por: Option<&'a PorTable>,
     limits: &'a SearchLimits,
     threads: usize,
-    table_clones: u64,
 ) -> CheckOutcome {
     let l = ck.l;
 
@@ -322,7 +306,6 @@ fn run_parallel<'a>(
         sym_collapses: tallies.iter().map(|t| t.sym_collapses).sum(),
         compile_us: 0,
         sharpened_masks: 0,
-        table_clones,
         reseal_us: 0,
         threads_reused: 0,
     };

@@ -56,7 +56,7 @@ impl RefStore {
 
 type EvalResult = Result<i64, FailureKind>;
 
-fn eval_rv(
+pub(crate) fn eval_rv(
     rv: &Rv,
     store: &RefStore,
     locals: &[i64],

@@ -1,5 +1,5 @@
-//! Flat state buffers, the undo journal, and expression/step
-//! evaluation.
+//! Flat state buffers, the undo journal, and the failure and
+//! counterexample types every engine reports.
 //!
 //! The execution state of a candidate lives in a single contiguous
 //! [`StateBuf`] (`Vec<i64>`) described by a [`StateLayout`] segment
@@ -17,8 +17,7 @@
 //! writes are not journaled: scratch is discarded wholesale, so there
 //! is nothing to restore.
 
-use psketch_ir::{Assignment, Lowered, Lv, Op, Rv, ThreadId};
-use psketch_lang::ast::{BinOp, UnOp};
+use psketch_ir::{Lowered, ThreadId};
 use psketch_lang::error::Span;
 use std::fmt;
 
@@ -315,232 +314,12 @@ impl UndoJournal {
 
 /// Evaluation error (failure kind only; position added by the caller).
 pub(crate) type EvalResult = Result<i64, FailureKind>;
-
-/// Evaluates a pure r-value. `lb` is the flat offset of the active
-/// thread's locals (a worker record's locals, or scratch).
-///
-/// `&&`/`||` and `Ite` are lazy, so memory failures in undemanded
-/// subexpressions do not fire — matching the symbolic evaluator's
-/// demand-conditioned failures.
-pub(crate) fn eval_rv(
-    rv: &Rv,
-    buf: &StateBuf,
-    lay: &StateLayout,
-    lb: usize,
-    holes: &Assignment,
-    l: &Lowered,
-) -> EvalResult {
-    let wrap = |v: i64| l.config.wrap(v);
-    Ok(match rv {
-        Rv::Const(c) => *c,
-        Rv::Global(g) => buf.get(*g),
-        Rv::Local(x) => buf.get(lb + *x),
-        Rv::Hole(h) => holes.value(*h) as i64,
-        Rv::GlobalDyn { base, len, ix } => {
-            let i = eval_rv(ix, buf, lay, lb, holes, l)?;
-            if i < 0 || i as usize >= *len {
-                return Err(FailureKind::OutOfBounds);
-            }
-            buf.get(base + i as usize)
-        }
-        Rv::LocalDyn { base, len, ix } => {
-            let i = eval_rv(ix, buf, lay, lb, holes, l)?;
-            if i < 0 || i as usize >= *len {
-                return Err(FailureKind::OutOfBounds);
-            }
-            buf.get(lb + base + i as usize)
-        }
-        Rv::Field { sid, fid, obj } => {
-            let o = eval_rv(obj, buf, lay, lb, holes, l)?;
-            let cell = field_cell(*sid, *fid, o, l)?;
-            buf.get(lay.heap_cell(*sid, cell))
-        }
-        Rv::Unary(op, a) => {
-            let v = eval_rv(a, buf, lay, lb, holes, l)?;
-            match op {
-                UnOp::Not => i64::from(v == 0),
-                UnOp::Neg => wrap(-v),
-                UnOp::BitsToInt => v,
-            }
-        }
-        Rv::Binary(BinOp::And, a, b) => {
-            if eval_rv(a, buf, lay, lb, holes, l)? == 0 {
-                0
-            } else {
-                i64::from(eval_rv(b, buf, lay, lb, holes, l)? != 0)
-            }
-        }
-        Rv::Binary(BinOp::Or, a, b) => {
-            if eval_rv(a, buf, lay, lb, holes, l)? != 0 {
-                1
-            } else {
-                i64::from(eval_rv(b, buf, lay, lb, holes, l)? != 0)
-            }
-        }
-        Rv::Binary(op, a, b) => {
-            let x = eval_rv(a, buf, lay, lb, holes, l)?;
-            let y = eval_rv(b, buf, lay, lb, holes, l)?;
-            match op {
-                BinOp::Add => wrap(x + y),
-                BinOp::Sub => wrap(x - y),
-                BinOp::Mul => wrap(x.wrapping_mul(y)),
-                BinOp::Div => {
-                    debug_assert!(y != 0, "lowering guarantees constant non-zero divisors");
-                    wrap(x.wrapping_div(y))
-                }
-                BinOp::Mod => {
-                    debug_assert!(y != 0);
-                    wrap(x.wrapping_rem(y))
-                }
-                BinOp::Eq => i64::from(x == y),
-                BinOp::Ne => i64::from(x != y),
-                BinOp::Lt => i64::from(x < y),
-                BinOp::Le => i64::from(x <= y),
-                BinOp::Gt => i64::from(x > y),
-                BinOp::Ge => i64::from(x >= y),
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
-            }
-        }
-        Rv::Ite(c, a, b) => {
-            if eval_rv(c, buf, lay, lb, holes, l)? != 0 {
-                eval_rv(a, buf, lay, lb, holes, l)?
-            } else {
-                eval_rv(b, buf, lay, lb, holes, l)?
-            }
-        }
-    })
-}
-
-/// Heap cell index for `obj.field` (relative to the pool's segment);
-/// fails on null.
-fn field_cell(sid: usize, fid: usize, obj: i64, l: &Lowered) -> Result<usize, FailureKind> {
-    if obj == 0 {
-        return Err(FailureKind::NullDeref);
-    }
-    let layout = &l.structs[sid];
-    let ix = (obj - 1) as usize;
-    if ix >= layout.capacity {
-        return Err(FailureKind::OutOfBounds);
-    }
-    Ok(ix * layout.fields.len() + fid)
-}
-
-/// Resolves a write destination to its flat buffer offset.
-pub(crate) fn resolve_lv(
-    lv: &Lv,
-    buf: &StateBuf,
-    lay: &StateLayout,
-    lb: usize,
-    holes: &Assignment,
-    l: &Lowered,
-) -> Result<usize, FailureKind> {
-    Ok(match lv {
-        Lv::Global(g) => *g,
-        Lv::Local(x) => lb + *x,
-        Lv::GlobalDyn { base, len, ix } => {
-            let i = eval_rv(ix, buf, lay, lb, holes, l)?;
-            if i < 0 || i as usize >= *len {
-                return Err(FailureKind::OutOfBounds);
-            }
-            base + i as usize
-        }
-        Lv::LocalDyn { base, len, ix } => {
-            let i = eval_rv(ix, buf, lay, lb, holes, l)?;
-            if i < 0 || i as usize >= *len {
-                return Err(FailureKind::OutOfBounds);
-            }
-            lb + base + i as usize
-        }
-        Lv::Field { sid, fid, obj } => {
-            let o = eval_rv(obj, buf, lay, lb, holes, l)?;
-            lay.heap_cell(*sid, field_cell(*sid, *fid, o, l)?)
-        }
-    })
-}
-
-/// Executes one step's operation (guard already known true), recording
-/// every write in the journal. `AtomicBegin`/`AtomicEnd` are no-ops
-/// here; the checker interprets them for scheduling.
-pub(crate) fn exec_op(
-    op: &Op,
-    buf: &mut StateBuf,
-    lay: &StateLayout,
-    lb: usize,
-    j: &mut UndoJournal,
-    holes: &Assignment,
-    l: &Lowered,
-) -> Result<(), FailureKind> {
-    match op {
-        Op::Assign(lv, rv) => {
-            let v = eval_rv(rv, buf, lay, lb, holes, l)?;
-            let off = resolve_lv(lv, buf, lay, lb, holes, l)?;
-            buf.set(off, v, j);
-        }
-        Op::Swap { dst, loc, val } => {
-            let v = eval_rv(val, buf, lay, lb, holes, l)?;
-            let loc_off = resolve_lv(loc, buf, lay, lb, holes, l)?;
-            let old = buf.get(loc_off);
-            buf.set(loc_off, v, j);
-            let dst_off = resolve_lv(dst, buf, lay, lb, holes, l)?;
-            buf.set(dst_off, old, j);
-        }
-        Op::Cas { dst, loc, old, new } => {
-            let ov = eval_rv(old, buf, lay, lb, holes, l)?;
-            let nv = eval_rv(new, buf, lay, lb, holes, l)?;
-            let loc_off = resolve_lv(loc, buf, lay, lb, holes, l)?;
-            let cur = buf.get(loc_off);
-            let ok = cur == ov;
-            if ok {
-                buf.set(loc_off, nv, j);
-            }
-            let dst_off = resolve_lv(dst, buf, lay, lb, holes, l)?;
-            buf.set(dst_off, i64::from(ok), j);
-        }
-        Op::FetchAdd { dst, loc, delta } => {
-            let loc_off = resolve_lv(loc, buf, lay, lb, holes, l)?;
-            let old = buf.get(loc_off);
-            buf.set(loc_off, l.config.wrap(old + delta), j);
-            let dst_off = resolve_lv(dst, buf, lay, lb, holes, l)?;
-            buf.set(dst_off, old, j);
-        }
-        Op::Alloc { dst, sid, inits } => {
-            let layout = &l.structs[*sid];
-            let slot = lay.alloc_slot(*sid);
-            let obj = buf.get(slot);
-            if obj as usize >= layout.capacity {
-                return Err(FailureKind::PoolExhausted);
-            }
-            buf.set(slot, obj + 1, j);
-            let nf = layout.fields.len();
-            let base = lay.heap_cell(*sid, obj as usize * nf);
-            for (fid, (_, _, default)) in layout.fields.iter().enumerate() {
-                buf.set(base + fid, *default, j);
-            }
-            // Evaluate overrides before publishing the reference.
-            let mut vals = Vec::with_capacity(inits.len());
-            for (fid, rv) in inits {
-                vals.push((*fid, eval_rv(rv, buf, lay, lb, holes, l)?));
-            }
-            for (fid, v) in vals {
-                buf.set(base + fid, v, j);
-            }
-            let dst_off = resolve_lv(dst, buf, lay, lb, holes, l)?;
-            buf.set(dst_off, obj + 1, j);
-        }
-        Op::Assert(c) => {
-            if eval_rv(c, buf, lay, lb, holes, l)? == 0 {
-                return Err(FailureKind::AssertFailed);
-            }
-        }
-        Op::AtomicBegin(_) | Op::AtomicEnd => {}
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psketch_ir::{desugar::desugar_program, lower::lower_program, Config};
+    use crate::compiled::{compile_code_folded, compile_op_folded, exec_cop};
+    use psketch_ir::{desugar::desugar_program, lower::lower_program, Config, Lv, Op, Rv};
+    use psketch_lang::ast::BinOp;
 
     fn lowered(src: &str) -> Lowered {
         let cfg = Config::default();
@@ -556,6 +335,27 @@ mod tests {
         let mut buf = StateBuf::initial(&lay, l);
         let lb = buf.push_scratch(nlocals);
         (lay, buf, lb)
+    }
+
+    /// Evaluates `rv` the way every engine does: sealed under the
+    /// identity candidate into micro-op code, then run.
+    fn eval(rv: &Rv, buf: &StateBuf, lay: &StateLayout, lb: usize, l: &Lowered) -> EvalResult {
+        let holes = l.holes.identity_assignment();
+        compile_code_folded(rv, &holes, l, lay, &mut Vec::new()).eval(buf, lb, &l.config)
+    }
+
+    /// Executes `op` the way every engine does (see [`eval`]).
+    fn exec(
+        op: &Op,
+        buf: &mut StateBuf,
+        lay: &StateLayout,
+        lb: usize,
+        j: &mut UndoJournal,
+        l: &Lowered,
+    ) -> Result<(), FailureKind> {
+        let holes = l.holes.identity_assignment();
+        let cop = compile_op_folded(op, &holes, l, lay, &mut Vec::new());
+        exec_cop(&cop, buf, lb, j, &l.config)
     }
 
     #[test]
@@ -577,46 +377,40 @@ mod tests {
     fn lazy_and_suppresses_null_deref() {
         let l = lowered("struct N { int v; } harness void main() { }");
         let (lay, buf, lb) = scratch_state(&l, 0);
-        let holes = l.holes.identity_assignment();
         // null.v demanded: fails.
         let bad = Rv::Field {
             sid: 0,
             fid: 0,
             obj: Box::new(Rv::Const(0)),
         };
-        assert_eq!(
-            eval_rv(&bad, &buf, &lay, lb, &holes, &l),
-            Err(FailureKind::NullDeref)
-        );
+        assert_eq!(eval(&bad, &buf, &lay, lb, &l), Err(FailureKind::NullDeref));
         // false && null.v: lazy, ok.
         let guarded = Rv::Binary(BinOp::And, Box::new(Rv::Const(0)), Box::new(bad.clone()));
-        assert_eq!(eval_rv(&guarded, &buf, &lay, lb, &holes, &l), Ok(0));
+        assert_eq!(eval(&guarded, &buf, &lay, lb, &l), Ok(0));
         // true || null.v: lazy, ok.
         let guarded_or = Rv::Binary(BinOp::Or, Box::new(Rv::Const(1)), Box::new(bad));
-        assert_eq!(eval_rv(&guarded_or, &buf, &lay, lb, &holes, &l), Ok(1));
+        assert_eq!(eval(&guarded_or, &buf, &lay, lb, &l), Ok(1));
     }
 
     #[test]
     fn arithmetic_wraps_at_width() {
         let l = lowered("harness void main() { }");
         let (lay, buf, lb) = scratch_state(&l, 0);
-        let holes = l.holes.identity_assignment();
         let add = Rv::Binary(BinOp::Add, Box::new(Rv::Const(127)), Box::new(Rv::Const(1)));
-        assert_eq!(eval_rv(&add, &buf, &lay, lb, &holes, &l), Ok(-128));
+        assert_eq!(eval(&add, &buf, &lay, lb, &l), Ok(-128));
     }
 
     #[test]
     fn out_of_bounds_detected() {
         let l = lowered("int[4] a; harness void main() { }");
         let (lay, buf, lb) = scratch_state(&l, 0);
-        let holes = l.holes.identity_assignment();
         let read = Rv::GlobalDyn {
             base: 0,
             len: 4,
             ix: Box::new(Rv::Const(4)),
         };
         assert_eq!(
-            eval_rv(&read, &buf, &lay, lb, &holes, &l),
+            eval(&read, &buf, &lay, lb, &l),
             Err(FailureKind::OutOfBounds)
         );
         let neg = Rv::GlobalDyn {
@@ -625,7 +419,7 @@ mod tests {
             ix: Box::new(Rv::Const(-1)),
         };
         assert_eq!(
-            eval_rv(&neg, &buf, &lay, lb, &holes, &l),
+            eval(&neg, &buf, &lay, lb, &l),
             Err(FailureKind::OutOfBounds)
         );
     }
@@ -635,21 +429,20 @@ mod tests {
         let l = lowered("struct N { int v = 9; N next; } harness void main() { }");
         let (lay, mut buf, lb) = scratch_state(&l, 1);
         let mut j = UndoJournal::new();
-        let holes = l.holes.identity_assignment();
         let op = Op::Alloc {
             dst: Lv::Local(0),
             sid: 0,
             inits: vec![(0, Rv::Const(5))],
         };
         for k in 0..l.config.pool {
-            exec_op(&op, &mut buf, &lay, lb, &mut j, &holes, &l).unwrap();
+            exec(&op, &mut buf, &lay, lb, &mut j, &l).unwrap();
             assert_eq!(buf.get(lb), (k + 1) as i64);
         }
         // v overridden to 5, default for next is 0.
         assert_eq!(buf.get(lay.heap_cell(0, 0)), 5);
         assert_eq!(buf.get(lay.heap_cell(0, 1)), 0);
         assert_eq!(
-            exec_op(&op, &mut buf, &lay, lb, &mut j, &holes, &l),
+            exec(&op, &mut buf, &lay, lb, &mut j, &l),
             Err(FailureKind::PoolExhausted)
         );
     }
@@ -659,10 +452,9 @@ mod tests {
         let l = lowered("int g = 3; harness void main() { }");
         let (lay, mut buf, lb) = scratch_state(&l, 1);
         let mut j = UndoJournal::new();
-        let holes = l.holes.identity_assignment();
         macro_rules! run {
             ($op:expr) => {
-                exec_op(&$op, &mut buf, &lay, lb, &mut j, &holes, &l).unwrap()
+                exec(&$op, &mut buf, &lay, lb, &mut j, &l).unwrap()
             };
         }
         run!(Op::Swap {
@@ -704,10 +496,9 @@ mod tests {
         let mut j = UndoJournal::new();
         let before = buf.clone();
         let mark = j.mark();
-        let holes = l.holes.identity_assignment();
         // A swap writes two cells; a second op overwrites one again.
         let lb = buf.push_scratch(1);
-        exec_op(
+        exec(
             &Op::Swap {
                 dst: Lv::Global(1),
                 loc: Lv::Global(0),
@@ -717,17 +508,15 @@ mod tests {
             &lay,
             lb,
             &mut j,
-            &holes,
             &l,
         )
         .unwrap();
-        exec_op(
+        exec(
             &Op::Assign(Lv::Global(0), Rv::Const(99)),
             &mut buf,
             &lay,
             lb,
             &mut j,
-            &holes,
             &l,
         )
         .unwrap();
@@ -744,16 +533,14 @@ mod tests {
         let lay = StateLayout::new(&l);
         let mut buf = StateBuf::initial(&lay, &l);
         let mut j = UndoJournal::new();
-        let holes = l.holes.identity_assignment();
         let lb = buf.push_scratch(2);
         let mark = j.mark();
-        exec_op(
+        exec(
             &Op::Assign(Lv::Local(0), Rv::Const(7)),
             &mut buf,
             &lay,
             lb,
             &mut j,
-            &holes,
             &l,
         )
         .unwrap();

@@ -4,34 +4,39 @@
 //! Exposes just enough of the engine to state the footprint-soundness
 //! property externally: from any reachable state, two enabled workers
 //! whose current transitions are classified *independent* by the
-//! effect-footprint layer must commute — firing them in either order
-//! yields the same canonical state, the same fingerprint, the same
-//! enabled set, and the same failure behavior. The property test in
+//! candidate-sharpened footprint masks the engines reduce with must
+//! commute — firing them in either order yields the same canonical
+//! state, the same fingerprint, the same enabled set, and the same
+//! failure behavior. The property test in
 //! `tests/footprint_commutation.rs` drives this over the whole example
 //! suite.
 
 use crate::checker::Checker;
+use crate::compiled::CompiledProgram;
 use crate::por::PorTable;
 use crate::store::{Failure, StateBuf, UndoJournal};
-use psketch_ir::{Assignment, Lowered};
 
 /// A single live execution state that can fire worker transitions,
 /// snapshot, and rewind — the unit the commutation property is checked
 /// on.
 pub struct Walker<'a> {
     ck: Checker<'a>,
-    por: PorTable,
+    /// The artifact's POR table (`None` outside the 2..=64 workers
+    /// reduction supports: then no pair is classified independent).
+    por: Option<&'a PorTable>,
     buf: StateBuf,
     journal: UndoJournal,
 }
 
 impl<'a> Walker<'a> {
-    /// Builds the initial post-prologue state (prologue executed,
-    /// initial invisible steps absorbed). `Err` when the candidate
-    /// already fails sequentially before any interleaving exists.
-    pub fn new(l: &'a Lowered, candidate: &'a Assignment) -> Result<Walker<'a>, Failure> {
-        let ck = Checker::new(l, candidate);
-        let por = PorTable::new(l);
+    /// Builds the initial post-prologue state of a sealed candidate
+    /// (prologue executed, initial invisible steps absorbed). `Err`
+    /// when the candidate already fails sequentially before any
+    /// interleaving exists.
+    pub fn new(cp: &'a CompiledProgram<'a>) -> Result<Walker<'a>, Failure> {
+        let ck = Checker::from_compiled(cp, false);
+        let l = ck.l;
+        let por = cp.por_table();
         let mut buf = ck.initial_buf();
         let mut journal = UndoJournal::new();
         ck.run_seq(0, &l.prologue, &mut buf, &mut journal)
@@ -58,7 +63,7 @@ impl<'a> Walker<'a> {
         let pcs: Vec<usize> = (0..self.ck.nworkers())
             .map(|w| self.ck.worker_pc(&self.buf, w))
             .collect();
-        self.por.independent(&pcs, a, b)
+        self.por.is_some_and(|por| por.independent(&pcs, a, b))
     }
 
     /// Fires worker `w`'s transition. `Err` carries the failure; the

@@ -16,7 +16,7 @@ use crate::bv::Bv;
 use crate::circuit::{Circuit, NodeRef};
 use psketch_ir::{Lowered, Lv, Op, Rv, ThreadId};
 use psketch_lang::ast::{BinOp, UnOp};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Symbolic execution of one projected trace.
 pub struct SymEval<'a> {
@@ -85,7 +85,9 @@ impl<'a> SymEval<'a> {
 
     /// Executes the merged order, returning the `fail` node.
     ///
-    /// `deadlock` is the trace's deadlock set `D`; `deadlock_at` is the
+    /// `deadlock` is the trace's deadlock set `D` (one blocked position
+    /// per worker, in the trace's order, so the circuit built for one
+    /// trace is the same on every run); `deadlock_at` is the
     /// merged-order position of the end of the traced prefix, where the
     /// deadlock is re-checked: the projection fails a candidate for
     /// deadlock only when *every* step of `D` is blocked simultaneously
@@ -95,7 +97,7 @@ impl<'a> SymEval<'a> {
         self,
         c: &mut Circuit,
         order: &[(ThreadId, usize)],
-        deadlock: &HashSet<(ThreadId, usize)>,
+        deadlock: &[(ThreadId, usize)],
         deadlock_at: usize,
     ) -> NodeRef {
         self.run_with_probe(c, order, deadlock, deadlock_at, |_, _, _, _| {})
@@ -108,7 +110,7 @@ impl<'a> SymEval<'a> {
         mut self,
         c: &mut Circuit,
         order: &[(ThreadId, usize)],
-        deadlock: &HashSet<(ThreadId, usize)>,
+        deadlock: &[(ThreadId, usize)],
         deadlock_at: usize,
         mut probe: impl FnMut(&mut Circuit, NodeRef, NodeRef, usize),
     ) -> NodeRef {
@@ -127,7 +129,7 @@ impl<'a> SymEval<'a> {
 
     /// `fail |= running ∧ ⋀_{(t,i) ∈ D} blocked(t, i)` evaluated in
     /// the current (trace-end) state.
-    fn check_deadlock(&mut self, c: &mut Circuit, deadlock: &HashSet<(ThreadId, usize)>) {
+    fn check_deadlock(&mut self, c: &mut Circuit, deadlock: &[(ThreadId, usize)]) {
         if deadlock.is_empty() {
             return;
         }

@@ -16,7 +16,7 @@ use psketch_exec::CexTrace;
 use psketch_ir::{Assignment, HoleId, Lowered};
 use psketch_lang::ast::{BinOp, Expr, UnOp};
 use psketch_sat::{SolveResult, Solver, SolverStats, Var};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -237,11 +237,10 @@ impl<'l> Synthesizer<'l> {
     pub fn add_trace(&mut self, cex: &CexTrace) {
         let t0 = Instant::now();
         let order = project(self.l, cex);
-        let deadlock: HashSet<_> = cex.deadlock.iter().copied().collect();
         let deadlock_at = trace_end_position(&order, cex);
         let inputs = HashMap::new();
         let ev = SymEval::new(&mut self.circuit, self.l, &self.hole_bvs, &inputs);
-        let fail = ev.run(&mut self.circuit, &order, &deadlock, deadlock_at);
+        let fail = ev.run(&mut self.circuit, &order, &cex.deadlock, deadlock_at);
         self.circuit.assert_true(fail.not(), &mut self.solver);
         self.stats.observations += 1;
         self.stats.nodes = self.circuit.len();
@@ -264,7 +263,7 @@ impl<'l> Synthesizer<'l> {
         }
         let order = sequential_order(self.l);
         let ev = SymEval::new(&mut self.circuit, self.l, &self.hole_bvs, &inputs);
-        let fail = ev.run(&mut self.circuit, &order, &HashSet::new(), order.len());
+        let fail = ev.run(&mut self.circuit, &order, &[], order.len());
         self.circuit.assert_true(fail.not(), &mut self.solver);
         self.stats.observations += 1;
         self.stats.nodes = self.circuit.len();
@@ -379,11 +378,10 @@ pub fn trace_reproduces(l: &Lowered, cex: &CexTrace, candidate: &Assignment) -> 
         .map(|h| Bv::constant(&mut circuit, candidate.value(h as HoleId) as i64, w))
         .collect();
     let order = crate::project::project(l, cex);
-    let deadlock: HashSet<_> = cex.deadlock.iter().copied().collect();
     let deadlock_at = trace_end_position(&order, cex);
     let inputs = HashMap::new();
     let ev = SymEval::new(&mut circuit, l, &holes, &inputs);
-    let fail = ev.run(&mut circuit, &order, &deadlock, deadlock_at);
+    let fail = ev.run(&mut circuit, &order, &cex.deadlock, deadlock_at);
     match fail.as_const() {
         Some(b) => b,
         None => circuit.eval(fail, &HashMap::new()),
@@ -439,7 +437,7 @@ pub fn verify_sequential_limits(
     }
     let order = sequential_order(l);
     let ev = SymEval::new(&mut circuit, l, &holes, &inputs);
-    let fail = ev.run(&mut circuit, &order, &HashSet::new(), order.len());
+    let fail = ev.run(&mut circuit, &order, &[], order.len());
     circuit.assert_true(fail, &mut solver);
     match solver.solve() {
         SolveResult::Unsat => return SeqVerify::Equivalent,

@@ -15,7 +15,7 @@ use psketch_symbolic::circuit::Circuit;
 use psketch_symbolic::eval::SymEval;
 use psketch_symbolic::project::sequential_order;
 use psketch_testutil::{cases, Rng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 fn lowered(src: &str, cfg: &Config) -> Lowered {
     let p = psketch_lang::check_program(src).unwrap();
@@ -33,7 +33,7 @@ fn symbolic_fails(l: &Lowered, a: &Assignment) -> bool {
         .collect();
     let order = sequential_order(l);
     let ev = SymEval::new(&mut c, l, &holes, &HashMap::new());
-    let fail = ev.run(&mut c, &order, &HashSet::new(), order.len());
+    let fail = ev.run(&mut c, &order, &[], order.len());
     match fail.as_const() {
         Some(b) => b,
         None => c.eval(fail, &HashMap::new()),

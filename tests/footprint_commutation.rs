@@ -1,8 +1,9 @@
 //! Footprint-soundness property: independence really means
 //! commutation.
 //!
-//! The partial-order reduction is sound only if the static effect
-//! footprints over-approximate the dynamic behavior of every
+//! The partial-order reduction is sound only if the effect footprints
+//! it reduces with — the candidate-sharpened masks of the sealed
+//! artifact — over-approximate the dynamic behavior of every
 //! transition: whenever two enabled workers' current transitions are
 //! classified independent (`Footprint::may_conflict` is false), firing
 //! them in either order from the same state must produce *identical*
@@ -13,6 +14,7 @@
 //! visited state.
 
 use psketch_repro::exec::walker::Walker;
+use psketch_repro::exec::CompiledProgram;
 use psketch_repro::ir::{desugar, lower, Assignment, Lowered};
 use psketch_repro::suite::figure9_runs;
 use psketch_testutil::Rng;
@@ -50,7 +52,8 @@ fn run_order(w: &mut Walker, first: usize, second: usize) -> Result<(Vec<i64>, u
 /// visited state, checks that each enabled pair the footprint layer
 /// calls independent commutes. Returns the number of pairs checked.
 fn walk(l: &Lowered, a: &Assignment, rng: &mut Rng, label: &str) -> usize {
-    let Ok(mut w) = Walker::new(l, a) else {
+    let cp = CompiledProgram::compile(l, a);
+    let Ok(mut w) = Walker::new(&cp) else {
         // The candidate fails in the prologue before any interleaving
         // exists; there is nothing to commute.
         return 0;

@@ -6,6 +6,7 @@
 use psketch_repro::core::{Config, Options, Synthesis};
 use psketch_repro::suite::barrier::{barrier_source, BarrierVariant};
 use psketch_repro::suite::dinphilo::{dinphilo_source, PhiloVariant};
+use psketch_repro::suite::figure9_runs;
 use psketch_repro::suite::queue::{queue_source, DequeueVariant, EnqueueVariant};
 use psketch_repro::suite::set::{set_source, SetVariant};
 use psketch_repro::suite::workload::Workload;
@@ -83,6 +84,32 @@ fn barrier_restricted_resolves() {
     };
     let out = Synthesis::new(&src, opts).unwrap().run();
     assert!(out.resolved(), "barrier1 resolves");
+}
+
+/// A CEGIS run is a deterministic function of the sketch and its
+/// options: barrier1's traces carry multi-worker deadlock sets, whose
+/// encoding once depended on hash-set iteration order and made the
+/// iteration count vary from run to run within one process.
+#[test]
+fn barrier1_runs_repeat_exactly() {
+    let run = figure9_runs()
+        .into_iter()
+        .find(|r| r.benchmark == "barrier1" && r.test == "N=3,B=2")
+        .expect("barrier1 N=3,B=2 is a Figure 9 row");
+    let runs: Vec<(usize, Option<Vec<u64>>)> = (0..3)
+        .map(|_| {
+            let out = Synthesis::new(&run.source, run.options.clone())
+                .unwrap()
+                .run();
+            let resolution = out.resolution.map(|r| r.assignment.values().to_vec());
+            (out.stats.iterations, resolution)
+        })
+        .collect();
+    assert!(runs[0].1.is_some(), "barrier1 N=3,B=2 resolves");
+    assert!(
+        runs.windows(2).all(|w| w[0] == w[1]),
+        "iteration counts and resolutions differ across runs: {runs:?}"
+    );
 }
 
 #[test]
