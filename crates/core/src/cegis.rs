@@ -168,6 +168,8 @@ pub struct CegisStats {
     pub sat_conflicts: u64,
     /// Synthesizer SAT restarts (cumulative).
     pub sat_restarts: u64,
+    /// Problem clauses in the synthesizer's SAT instance at the end.
+    pub sat_clauses: u64,
     /// Circuit nodes in the synthesizer at the end.
     pub synth_nodes: usize,
     /// Candidates refuted by a sampled schedule before any exhaustive
@@ -578,6 +580,7 @@ impl Synthesis {
         stats.sat_propagations = sat.propagations;
         stats.sat_conflicts = sat.conflicts;
         stats.sat_restarts = sat.restarts;
+        stats.sat_clauses = sat.clauses;
         stats.total = t0.elapsed();
         stats.peak_memory = mem::peak_rss_bytes();
         let v_secs = stats.v_solve.as_secs_f64();

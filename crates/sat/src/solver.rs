@@ -52,17 +52,25 @@ impl fmt::Display for SolverStats {
     }
 }
 
-/// Reference to a clause in the arena.
+/// Reference to a clause: an index into the header table.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct ClauseRef(u32);
 
 const CREF_UNDEF: ClauseRef = ClauseRef(u32::MAX);
 
+/// A clause's header. Its literals are `arena[start..start + len]`.
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     learnt: bool,
     activity: f64,
     deleted: bool,
+}
+
+impl Clause {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -83,9 +91,15 @@ struct VarInfo {
 ///
 /// See the crate docs for an overview and an example.
 pub struct Solver {
-    // Clause storage.
+    // Clause storage: one header per clause, every clause's literals
+    // back to back in one arena. A deleted clause's literals stay in
+    // the arena as garbage until garbage is more than half of it.
     clauses: Vec<Clause>,
     free_clauses: Vec<ClauseRef>,
+    arena: Vec<Lit>,
+    garbage: usize,
+    /// Clauses (problem and learnt) not deleted.
+    live_clauses: usize,
 
     // Per-literal watcher lists.
     watches: Vec<Vec<Watcher>>,
@@ -115,6 +129,10 @@ pub struct Solver {
     model: Vec<LBool>,
     conflict_assumptions: Vec<Lit>,
 
+    // Scratch buffers reused across calls.
+    add_buf: Vec<Lit>,
+    final_stack: Vec<Lit>,
+
     stats: SolverStats,
     max_learnts: f64,
 
@@ -139,6 +157,9 @@ impl Solver {
         Solver {
             clauses: Vec::new(),
             free_clauses: Vec::new(),
+            arena: Vec::new(),
+            garbage: 0,
+            live_clauses: 0,
             watches: Vec::new(),
             assigns: Vec::new(),
             vardata: Vec::new(),
@@ -155,6 +176,8 @@ impl Solver {
             ok: true,
             model: Vec::new(),
             conflict_assumptions: Vec::new(),
+            add_buf: Vec::new(),
+            final_stack: Vec::new(),
             stats: SolverStats::default(),
             max_learnts: 0.0,
             deadline: None,
@@ -239,8 +262,17 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut c: Vec<Lit> = lits.into_iter().collect();
-        for &l in &c {
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend(lits);
+        let ok = self.add_buffered(&mut c);
+        self.add_buf = c;
+        ok
+    }
+
+    /// [`Solver::add_clause`] over the literals in `c` (clobbered).
+    fn add_buffered(&mut self, c: &mut Vec<Lit>) -> bool {
+        for &l in c.iter() {
             assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l:?} out of range"
@@ -301,7 +333,7 @@ impl Solver {
         // the problem itself has grown past the cap.
         self.max_learnts = self
             .max_learnts
-            .max((self.num_clauses() as f64 * 0.3).max(1000.0));
+            .max((self.live_clauses as f64 * 0.3).max(1000.0));
         let mut restarts = 0u32;
         loop {
             let budget = 64.0 * luby(2.0, restarts);
@@ -371,7 +403,7 @@ impl Solver {
                 continue;
             }
             clauses.push(
-                c.lits
+                self.arena[c.range()]
                     .iter()
                     .map(|l| {
                         let v = (l.var().index() + 1) as i64;
@@ -390,19 +422,25 @@ impl Solver {
         }
     }
 
-    fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
-    }
-
     // ----- clause arena -----
 
-    fn alloc_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn lits(&self, cref: ClauseRef) -> &[Lit] {
+        &self.arena[self.clauses[cref.0 as usize].range()]
+    }
+
+    fn alloc_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         let clause = Clause {
-            lits,
+            start: u32::try_from(self.arena.len()).expect("clause arena fits u32 offsets"),
+            len: lits.len() as u32,
             learnt,
             activity: 0.0,
             deleted: false,
         };
+        self.arena.extend_from_slice(lits);
+        self.live_clauses += 1;
+        // Freed headers are reused last-freed-first, so clause
+        // references, and with them `reduce_db`'s tie order, depend only
+        // on the order of additions and removals, never on the layout.
         if let Some(cref) = self.free_clauses.pop() {
             self.clauses[cref.0 as usize] = clause;
             cref
@@ -414,8 +452,8 @@ impl Solver {
 
     fn attach_clause(&mut self, cref: ClauseRef) {
         let (l0, l1) = {
-            let c = &self.clauses[cref.0 as usize];
-            (c.lits[0], c.lits[1])
+            let c = self.lits(cref);
+            (c[0], c[1])
         };
         self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
@@ -423,15 +461,34 @@ impl Solver {
 
     fn remove_clause(&mut self, cref: ClauseRef) {
         let (l0, l1) = {
-            let c = &self.clauses[cref.0 as usize];
-            (c.lits[0], c.lits[1])
+            let c = self.lits(cref);
+            (c[0], c[1])
         };
         self.watches[(!l0).index()].retain(|w| w.cref != cref);
         self.watches[(!l1).index()].retain(|w| w.cref != cref);
         let c = &mut self.clauses[cref.0 as usize];
         c.deleted = true;
-        c.lits.clear();
+        self.garbage += c.len as usize;
+        c.len = 0;
+        self.live_clauses -= 1;
         self.free_clauses.push(cref);
+    }
+
+    /// Moves the live clauses' literals to the front of the arena, in
+    /// clause order, once garbage is more than half of it. Only the
+    /// headers' offsets change; clause references stay valid.
+    fn maybe_compact(&mut self) {
+        if self.garbage * 2 <= self.arena.len() {
+            return;
+        }
+        let mut arena = Vec::with_capacity(self.arena.len() - self.garbage);
+        for c in self.clauses.iter_mut().filter(|c| !c.deleted) {
+            let range = c.range();
+            c.start = arena.len() as u32;
+            arena.extend_from_slice(&self.arena[range]);
+        }
+        self.arena = arena;
+        self.garbage = 0;
     }
 
     // ----- assignment & trail -----
@@ -506,31 +563,29 @@ impl Solver {
                 let cref = w.cref;
                 // Normalize: false literal (!p) at position 1.
                 let (first, new_watch) = {
-                    let c = &mut self.clauses[cref.0 as usize];
-                    if c.lits[0] == !p {
-                        c.lits.swap(0, 1);
+                    let c = &mut self.arena[self.clauses[cref.0 as usize].range()];
+                    if c[0] == !p {
+                        c.swap(0, 1);
                     }
-                    debug_assert_eq!(c.lits[1], !p);
-                    let first = c.lits[0];
+                    debug_assert_eq!(c[1], !p);
+                    let first = c[0];
                     if first != w.blocker
                         && self.assigns[first.var().index()].under_sign(first.is_positive())
                             == LBool::True
                     {
                         (first, None)
                     } else {
-                        let mut found = None;
-                        for k in 2..c.lits.len() {
-                            let lk = c.lits[k];
-                            if self.assigns[lk.var().index()].under_sign(lk.is_positive())
-                                != LBool::False
-                            {
-                                found = Some(k);
-                                break;
-                            }
-                        }
+                        let assigns = &self.assigns;
+                        let found = c[2..]
+                            .iter()
+                            .position(|lk| {
+                                assigns[lk.var().index()].under_sign(lk.is_positive())
+                                    != LBool::False
+                            })
+                            .map(|k| k + 2);
                         if let Some(k) = found {
-                            c.lits.swap(1, k);
-                            (first, Some(c.lits[1]))
+                            c.swap(1, k);
+                            (first, Some(c[1]))
                         } else {
                             (first, None)
                         }
@@ -594,9 +649,10 @@ impl Solver {
         loop {
             {
                 self.bump_clause(cref);
-                let lits: Vec<Lit> = self.clauses[cref.0 as usize].lits.clone();
+                let range = self.clauses[cref.0 as usize].range();
                 let skip = usize::from(p.is_some());
-                for &q in lits.iter().skip(skip) {
+                for j in range.start + skip..range.end {
+                    let q = self.arena[j];
                     let v = q.var();
                     if !self.seen[v.index()] && self.vardata[v.index()].level > 0 {
                         self.seen[v.index()] = true;
@@ -667,8 +723,7 @@ impl Solver {
         if r == CREF_UNDEF {
             return false;
         }
-        self.clauses[r.0 as usize]
-            .lits
+        self.lits(r)
             .iter()
             .skip(1)
             .all(|&q| self.seen[q.var().index()] || self.vardata[q.var().index()].level == 0)
@@ -789,7 +844,7 @@ impl Solver {
             .map(ClauseRef)
             .filter(|&cr| {
                 let c = &self.clauses[cr.0 as usize];
-                c.learnt && !c.deleted && c.lits.len() > 2
+                c.learnt && !c.deleted && c.len > 2
             })
             .collect();
         learnts.sort_by(|&a, &b| {
@@ -800,8 +855,7 @@ impl Solver {
         let locked: Vec<bool> = learnts
             .iter()
             .map(|&cr| {
-                let c = &self.clauses[cr.0 as usize];
-                let l0 = c.lits[0];
+                let l0 = self.lits(cr)[0];
                 self.vardata[l0.var().index()].reason == cr && self.lit_value(l0) == LBool::True
             })
             .collect();
@@ -816,6 +870,7 @@ impl Solver {
             self.remove_clause(cr);
             self.stats.learnts = self.stats.learnts.saturating_sub(1);
         }
+        self.maybe_compact();
     }
 
     // ----- main search -----
@@ -852,7 +907,7 @@ impl Solver {
                         return Some(SolveResult::Unsat);
                     }
                 } else {
-                    let cref = self.alloc_clause(learnt.clone(), true);
+                    let cref = self.alloc_clause(&learnt, true);
                     self.attach_clause(cref);
                     self.stats.learnts += 1;
                     if self.lit_value(learnt[0]) == LBool::Undef {
@@ -905,25 +960,31 @@ impl Solver {
     /// Walks reasons backwards from a conflict hit while assumption
     /// levels are active, collecting the assumptions responsible.
     fn analyze_final(&mut self, conflict: ClauseRef, assumptions: &[Lit]) {
-        let assumed: std::collections::HashSet<Lit> = assumptions.iter().copied().collect();
         let mut out = Vec::new();
-        let mut seen = vec![false; self.num_vars()];
-        let mut stack: Vec<Lit> = self.clauses[conflict.0 as usize].lits.clone();
+        let mut stack = std::mem::take(&mut self.final_stack);
+        stack.clear();
+        stack.extend_from_slice(self.lits(conflict));
         while let Some(l) = stack.pop() {
             let v = l.var();
-            if seen[v.index()] || self.vardata[v.index()].level == 0 {
+            if self.seen[v.index()] || self.vardata[v.index()].level == 0 {
                 continue;
             }
-            seen[v.index()] = true;
-            if assumed.contains(&!l) {
+            self.seen[v.index()] = true;
+            if assumptions.contains(&!l) {
                 out.push(!l);
             } else {
                 let r = self.vardata[v.index()].reason;
                 if r != CREF_UNDEF {
-                    stack.extend(self.clauses[r.0 as usize].lits.iter().copied().skip(1));
+                    stack.extend_from_slice(&self.lits(r)[1..]);
                 }
             }
         }
+        // Every variable marked above has a level above 0, so it sits
+        // on the trail past the root level.
+        for &l in &self.trail[self.trail_lim[0]..] {
+            self.seen[l.var().index()] = false;
+        }
+        self.final_stack = stack;
         self.conflict_assumptions = out;
     }
 
@@ -933,7 +994,7 @@ impl Solver {
         let r = self.vardata[a.var().index()].reason;
         if r != CREF_UNDEF {
             // Best-effort: include the assumption chain.
-            for &q in self.clauses[r.0 as usize].lits.iter().skip(1) {
+            for &q in self.lits(r).iter().skip(1) {
                 out.push(!q);
             }
         }
@@ -961,6 +1022,128 @@ fn luby(y: f64, mut x: u32) -> f64 {
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use psketch_testutil::Rng;
+
+    /// Literals of every live clause, by clause reference.
+    fn clause_snapshot(s: &Solver) -> Vec<(usize, Vec<Lit>)> {
+        (0..s.clauses.len())
+            .filter(|&i| !s.clauses[i].deleted)
+            .map(|i| (i, s.lits(ClauseRef(i as u32)).to_vec()))
+            .collect()
+    }
+
+    /// The arena never holds more garbage than live literals.
+    fn assert_arena_bounded(s: &Solver) {
+        let live: usize = s.clauses.iter().map(|c| c.len as usize).sum();
+        assert_eq!(s.arena.len() - s.garbage, live, "garbage accounting");
+        assert!(
+            s.arena.len() <= 2 * live,
+            "arena {} > 2 x {live} live literals",
+            s.arena.len()
+        );
+    }
+
+    #[test]
+    fn arena_compaction_keeps_clauses_and_answers() {
+        // Random 3-SAT near the satisfiability threshold, solved again
+        // and again under random assumptions. One solver has its learnt
+        // database reduced after every solve (forcing compactions);
+        // the other never has. Answers must agree, models must hold,
+        // and a reduction must leave the problem and the surviving
+        // learnt clauses exactly as they were.
+        let mut rng = Rng::new(7);
+        let n = 60;
+        let mut reduced = Solver::new();
+        let mut plain = Solver::new();
+        let vars: Vec<Var> = (0..n).map(|_| reduced.new_var()).collect();
+        for _ in 0..n {
+            plain.new_var();
+        }
+        let mut problem = Vec::new();
+        for _ in 0..(n * 17 / 4) {
+            let clause: Vec<Lit> = (0..3)
+                .map(|_| Lit::new(vars[rng.below(n)], rng.any_bool()))
+                .collect();
+            reduced.add_clause(clause.iter().copied());
+            plain.add_clause(clause.iter().copied());
+            problem.push(clause);
+        }
+        let mut compactions = 0;
+        let mut rounds = 0;
+        for _ in 0..200 {
+            let assumptions: Vec<Lit> = (0..4)
+                .map(|_| Lit::new(vars[rng.below(n)], rng.any_bool()))
+                .collect();
+            let answer = reduced.solve_with(&assumptions);
+            assert_eq!(answer, plain.solve_with(&assumptions));
+            if answer == SolveResult::Sat {
+                for clause in &problem {
+                    assert!(clause
+                        .iter()
+                        .any(|&l| reduced.lit_model_value(l) == Some(true)));
+                }
+            }
+            assert_arena_bounded(&reduced);
+
+            let cnf = reduced.export_cnf();
+            let before = clause_snapshot(&reduced);
+            let arena_before = reduced.arena.len();
+            reduced.reduce_db();
+            rounds += 1;
+            if reduced.arena.len() < arena_before {
+                compactions += 1;
+            }
+            assert_arena_bounded(&reduced);
+            assert_eq!(reduced.export_cnf(), cnf, "reduce_db changed the problem");
+            let after = clause_snapshot(&reduced);
+            assert!(
+                after.iter().all(|c| before.contains(c)),
+                "a surviving clause changed"
+            );
+        }
+        assert!(
+            rounds >= 100 && compactions >= 1,
+            "{rounds} rounds, {compactions} compactions"
+        );
+    }
+
+    #[test]
+    fn pigeonhole_through_in_search_reductions() {
+        // 8 pigeons, 7 holes: thousands of conflicts, so `search` itself
+        // reduces the learnt database past its 1000-clause floor. The
+        // counters are pinned: the arena layout, its compaction and the
+        // reuse of freed clause slots must not change a decision.
+        let (n, m) = (8, 7);
+        let mut s = Solver::new();
+        let p: Vec<Vec<Lit>> = (0..n)
+            .map(|_| (0..m).map(|_| Lit::pos(s.new_var())).collect())
+            .collect();
+        for row in &p {
+            s.add_clause(row.iter().copied());
+        }
+        for j in 0..m {
+            for i1 in 0..n {
+                for i2 in (i1 + 1)..n {
+                    s.add_clause([!p[i1][j], !p[i2][j]]);
+                }
+            }
+        }
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        // Each in-search reduction raises the cap from its floor.
+        assert!(s.max_learnts > 1000.0, "no reduction ran");
+        assert_arena_bounded(&s);
+        let st = s.stats();
+        assert_eq!(
+            (
+                st.decisions,
+                st.propagations,
+                st.conflicts,
+                st.restarts,
+                st.learnts
+            ),
+            (4861, 49474, 3885, 29, 1890)
+        );
+    }
 
     fn lits(s: &mut Solver, n: usize) -> Vec<Lit> {
         (0..n).map(|_| Lit::pos(s.new_var())).collect()

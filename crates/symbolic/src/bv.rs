@@ -1,6 +1,33 @@
 //! Fixed-width two's-complement bitvectors over the circuit.
+//!
+//! Every operation first tries the word level: when its operands are
+//! constants it computes the value directly (with the lowering's own
+//! wrapping rules, [`fold_const_binop`]) instead of running the
+//! bit-level loop, which would fold gate by gate to the same constant
+//! bits without creating a node. The fast paths therefore never change
+//! the circuit; they only skip work.
 
 use crate::circuit::{Circuit, NodeRef};
+use psketch_ir::{fold_const_binop, Config};
+use psketch_lang::ast::BinOp;
+
+/// Widths up to this fold at the word level; wider words take the
+/// bit-level path (`Config::wrap` computes `1 << width` in an `i64`).
+const MAX_FOLD_WIDTH: usize = 32;
+
+/// `op` over two constants of width `w`, wrapped as the lowering wraps.
+fn fold(op: BinOp, x: i64, y: i64, w: usize) -> i64 {
+    let config = Config {
+        int_width: w as u32,
+        ..Config::default()
+    };
+    fold_const_binop(op, x, y, &config).expect("constant divisor must be non-zero")
+}
+
+/// Both operands' values, when both are foldable constants.
+fn words(a: &Bv, b: &Bv) -> Option<(i64, i64)> {
+    Some((a.word()?, b.word()?))
+}
 
 /// A bitvector, least-significant bit first.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -43,6 +70,15 @@ impl Bv {
         Some(v)
     }
 
+    /// The constant value, when all bits are constants and the width
+    /// folds at the word level.
+    fn word(&self) -> Option<i64> {
+        if self.width() > MAX_FOLD_WIDTH {
+            return None;
+        }
+        self.as_const()
+    }
+
     /// A single-bit boolean lifted to this width (0 or 1).
     pub fn from_bool(c: &mut Circuit, b: NodeRef, width: usize) -> Bv {
         let mut bits = vec![b];
@@ -52,12 +88,20 @@ impl Bv {
 
     /// Is the value non-zero?
     pub fn nonzero(&self, c: &mut Circuit) -> NodeRef {
+        if let Some(x) = self.word() {
+            return c.constant(x != 0);
+        }
         c.or_all(self.0.iter().copied())
     }
 
     /// Bitwise mux: `cond ? a : b` (widths must match).
     pub fn mux(c: &mut Circuit, cond: NodeRef, a: &Bv, b: &Bv) -> Bv {
         assert_eq!(a.width(), b.width());
+        match cond.as_const() {
+            Some(true) => return a.clone(),
+            Some(false) => return b.clone(),
+            None => {}
+        }
         Bv(a.0
             .iter()
             .zip(&b.0)
@@ -68,6 +112,9 @@ impl Bv {
     /// Addition (wrapping).
     pub fn add(c: &mut Circuit, a: &Bv, b: &Bv) -> Bv {
         assert_eq!(a.width(), b.width());
+        if let Some((x, y)) = words(a, b) {
+            return Bv::constant(c, fold(BinOp::Add, x, y, a.width()), a.width());
+        }
         let mut carry = c.constant(false);
         let mut out = Vec::with_capacity(a.width());
         for (&x, &y) in a.0.iter().zip(&b.0) {
@@ -83,6 +130,9 @@ impl Bv {
 
     /// Negation (two's complement).
     pub fn neg(c: &mut Circuit, a: &Bv) -> Bv {
+        if let Some(x) = a.word() {
+            return Bv::constant(c, fold(BinOp::Sub, 0, x, a.width()), a.width());
+        }
         let inverted = Bv(a.0.iter().map(|&b| b.not()).collect());
         let one = Bv::constant(c, 1, a.width());
         Bv::add(c, &inverted, &one)
@@ -90,6 +140,9 @@ impl Bv {
 
     /// Subtraction (wrapping).
     pub fn sub(c: &mut Circuit, a: &Bv, b: &Bv) -> Bv {
+        if let Some((x, y)) = words(a, b) {
+            return Bv::constant(c, fold(BinOp::Sub, x, y, a.width()), a.width());
+        }
         let nb = Bv::neg(c, b);
         Bv::add(c, a, &nb)
     }
@@ -97,6 +150,9 @@ impl Bv {
     /// Multiplication (wrapping shift-and-add).
     pub fn mul(c: &mut Circuit, a: &Bv, b: &Bv) -> Bv {
         let w = a.width();
+        if let Some((x, y)) = words(a, b) {
+            return Bv::constant(c, fold(BinOp::Mul, x, y, w), w);
+        }
         let mut acc = Bv::constant(c, 0, w);
         for k in 0..w {
             // acc += (b[k] ? a << k : 0)
@@ -111,6 +167,12 @@ impl Bv {
     /// Equality.
     pub fn eq(c: &mut Circuit, a: &Bv, b: &Bv) -> NodeRef {
         assert_eq!(a.width(), b.width());
+        if let Some((x, y)) = words(a, b) {
+            return c.constant(x == y);
+        }
+        // Against a constant operand each bit is `x` or `¬x`
+        // (`Circuit::xor` folds it); the conjunction still builds in
+        // the same order.
         let bits: Vec<NodeRef> = a.0.iter().zip(&b.0).map(|(&x, &y)| c.iff(x, y)).collect();
         c.and_all(bits)
     }
@@ -120,6 +182,9 @@ impl Bv {
         // a < b  <=>  (a - b) overflows into "negative" correctly:
         // compute via sign comparison: if signs differ, a<b iff a
         // negative; else compare magnitude via subtraction sign.
+        if let Some((x, y)) = words(a, b) {
+            return c.constant(x < y);
+        }
         let w = a.width();
         let sa = a.0[w - 1];
         let sb = b.0[w - 1];
@@ -139,6 +204,10 @@ impl Bv {
     /// Unsigned less-than (for array bounds).
     pub fn ult(c: &mut Circuit, a: &Bv, b: &Bv) -> NodeRef {
         let w = a.width();
+        if let Some((x, y)) = words(a, b) {
+            let mask = (1u64 << w) - 1;
+            return c.constant((x as u64 & mask) < (y as u64 & mask));
+        }
         let mut lt = c.constant(false);
         for k in 0..w {
             let (x, y) = (a.0[k], b.0[k]);
@@ -164,6 +233,11 @@ impl Bv {
     fn divmod_const(c: &mut Circuit, a: &Bv, divisor: i64) -> (Bv, Bv) {
         assert!(divisor != 0, "constant divisor must be non-zero");
         let w = a.width();
+        if let Some(x) = a.word() {
+            let q = fold(BinOp::Div, x, divisor, w);
+            let r = fold(BinOp::Mod, x, divisor, w);
+            return (Bv::constant(c, q, w), Bv::constant(c, r, w));
+        }
         // |a| via conditional negation.
         let sa = a.0[w - 1];
         let na = Bv::neg(c, a);

@@ -7,6 +7,33 @@
 
 use psketch_sat::{Lit, Solver, Var};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// An Fx-style multiplicative hasher for the structural-hash map.
+///
+/// Its keys are pairs of this circuit's own node references, never
+/// outside input, so SipHash's protection against crafted collisions
+/// buys nothing here and costs most of a lookup.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits, which the multiply
+        // leaves depending on the key's low bits only.
+        self.0.rotate_left(26)
+    }
+}
 
 /// A signed reference to a circuit node (bit 0 = negation).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -51,9 +78,13 @@ enum Node {
 /// The circuit builder.
 pub struct Circuit {
     nodes: Vec<Node>,
-    hash: HashMap<(u32, u32), NodeRef>,
+    /// Structural hash: both operands of an `And`, packed into one word
+    /// (lower reference in the high half).
+    hash: HashMap<u64, NodeRef, BuildHasherDefault<FxHasher>>,
     /// Tseitin mapping: node index → solver variable.
     vars: Vec<Option<Var>>,
+    /// The DFS stack of [`Circuit::lit`], kept between calls.
+    dfs: Vec<u32>,
 }
 
 impl Default for Circuit {
@@ -67,8 +98,9 @@ impl Circuit {
     pub fn new() -> Circuit {
         Circuit {
             nodes: vec![Node::Input],
-            hash: HashMap::new(),
+            hash: HashMap::default(),
             vars: vec![None],
+            dfs: Vec::new(),
         }
     }
 
@@ -114,14 +146,13 @@ impl Circuit {
             return NodeRef::FALSE;
         }
         let (x, y) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        if let Some(&r) = self.hash.get(&(x.0, y.0)) {
-            return r;
-        }
+        let key = (u64::from(x.0) << 32) | u64::from(y.0);
         let ix = self.nodes.len() as u32;
-        self.nodes.push(Node::And(x, y));
-        self.vars.push(None);
-        let r = NodeRef(ix << 1);
-        self.hash.insert((x.0, y.0), r);
+        let r = *self.hash.entry(key).or_insert(NodeRef(ix << 1));
+        if r.node() == ix {
+            self.nodes.push(Node::And(x, y));
+            self.vars.push(None);
+        }
         r
     }
 
@@ -132,6 +163,16 @@ impl Circuit {
 
     /// Exclusive or.
     pub fn xor(&mut self, a: NodeRef, b: NodeRef) -> NodeRef {
+        // Against a constant the gate is a wire or an inverter: the
+        // generic expansion below would fold to the same reference
+        // without creating a node.
+        match (a.as_const(), b.as_const()) {
+            (_, Some(false)) => return a,
+            (_, Some(true)) => return a.not(),
+            (Some(false), _) => return b,
+            (Some(true), _) => return b.not(),
+            _ => {}
+        }
         let n1 = self.and(a, b.not());
         let n2 = self.and(a.not(), b);
         self.or(n1, n2)
@@ -151,6 +192,13 @@ impl Circuit {
         }
         if t == e {
             return t;
+        }
+        // Two constant (and, by now, different) arms select `c` or its
+        // negation, exactly what the expansion below folds to.
+        if let Some(t) = t.as_const() {
+            if e.as_const().is_some() {
+                return if t { c } else { c.not() };
+            }
         }
         let a = self.and(c, t);
         let b = self.and(c.not(), e);
@@ -178,7 +226,8 @@ impl Circuit {
     /// The solver literal for a node, lazily Tseitin-encoding its cone.
     pub fn lit(&mut self, r: NodeRef, solver: &mut Solver) -> Lit {
         // Iterative DFS to avoid recursion depth issues.
-        let mut stack = vec![r.node()];
+        let mut stack = std::mem::take(&mut self.dfs);
+        stack.push(r.node());
         while let Some(&n) = stack.last() {
             if self.vars[n as usize].is_some() {
                 stack.pop();
@@ -218,6 +267,7 @@ impl Circuit {
                 }
             }
         }
+        self.dfs = stack;
         self.ref_lit(r)
     }
 

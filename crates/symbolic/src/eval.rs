@@ -222,12 +222,14 @@ impl<'a> SymEval<'a> {
                     values[*fid] = self.eval_rv(c, tid, rv, eff);
                 }
                 for k in 0..cap_n {
-                    let kk = Bv::constant(c, k as i64, self.w);
-                    let here = Bv::eq(c, &cnt, &kk);
+                    let here = addresses(c, self.w, &cnt, k as i64);
                     let cond = c.and(eff, here);
-                    for (fid, v) in values.iter().enumerate() {
-                        let old = self.heap[*sid][k * nf + fid].clone();
-                        self.heap[*sid][k * nf + fid] = Bv::mux(c, cond, v, &old);
+                    if cond == NodeRef::FALSE {
+                        continue;
+                    }
+                    let object = &mut self.heap[*sid][k * nf..(k + 1) * nf];
+                    for (cell, v) in object.iter_mut().zip(&values) {
+                        *cell = Bv::mux(c, cond, v, cell);
                     }
                 }
                 let not_full = full.not();
@@ -266,33 +268,10 @@ impl<'a> SymEval<'a> {
             Rv::Local(x) => self.locals[tid][*x].clone(),
             Rv::Hole(h) => self.holes[*h as usize].clone(),
             Rv::GlobalDyn { base, len, ix } => {
-                let i = self.eval_rv(c, tid, ix, demand);
-                self.bounds_fail(c, &i, *len, demand);
-                let cells: Vec<Bv> = (0..*len).map(|k| self.globals[base + k].clone()).collect();
-                self.select(c, &i, &cells)
+                self.read_global_dyn(c, tid, *base, *len, ix, demand)
             }
-            Rv::LocalDyn { base, len, ix } => {
-                let i = self.eval_rv(c, tid, ix, demand);
-                self.bounds_fail(c, &i, *len, demand);
-                let cells: Vec<Bv> = (0..*len)
-                    .map(|k| self.locals[tid][base + k].clone())
-                    .collect();
-                self.select(c, &i, &cells)
-            }
-            Rv::Field { sid, fid, obj } => {
-                let o = self.eval_rv(c, tid, obj, demand);
-                self.null_fail(c, &o, demand);
-                let nf = self.l.structs[*sid].fields.len();
-                let cap = self.l.structs[*sid].capacity;
-                let mut acc = Bv::constant(c, 0, self.w);
-                for k in 0..cap {
-                    let kk = Bv::constant(c, (k + 1) as i64, self.w);
-                    let here = Bv::eq(c, &o, &kk);
-                    let cell = self.heap[*sid][k * nf + *fid].clone();
-                    acc = Bv::mux(c, here, &cell, &acc);
-                }
-                acc
-            }
+            Rv::LocalDyn { base, len, ix } => self.read_local_dyn(c, tid, *base, *len, ix, demand),
+            Rv::Field { sid, fid, obj } => self.read_field(c, tid, *sid, *fid, obj, demand),
             Rv::Unary(op, a) => match op {
                 UnOp::Not => {
                     let v = self.eval_bool(c, tid, a, demand);
@@ -385,16 +364,49 @@ impl<'a> SymEval<'a> {
         }
     }
 
-    /// Mux-selects `cells[i]`; out-of-range selects 0 (a bounds
-    /// failure was already recorded).
-    fn select(&mut self, c: &mut Circuit, i: &Bv, cells: &[Bv]) -> Bv {
-        let mut acc = Bv::constant(c, 0, self.w);
-        for (k, cell) in cells.iter().enumerate() {
-            let kk = Bv::constant(c, k as i64, self.w);
-            let here = Bv::eq(c, i, &kk);
-            acc = Bv::mux(c, here, cell, &acc);
-        }
-        acc
+    fn read_global_dyn(
+        &mut self,
+        c: &mut Circuit,
+        tid: ThreadId,
+        base: usize,
+        len: usize,
+        ix: &Rv,
+        demand: NodeRef,
+    ) -> Bv {
+        let i = self.eval_rv(c, tid, ix, demand);
+        self.bounds_fail(c, &i, len, demand);
+        select(c, self.w, &i, 0, &self.globals[base..base + len])
+    }
+
+    fn read_local_dyn(
+        &mut self,
+        c: &mut Circuit,
+        tid: ThreadId,
+        base: usize,
+        len: usize,
+        ix: &Rv,
+        demand: NodeRef,
+    ) -> Bv {
+        let i = self.eval_rv(c, tid, ix, demand);
+        self.bounds_fail(c, &i, len, demand);
+        select(c, self.w, &i, 0, &self.locals[tid][base..base + len])
+    }
+
+    fn read_field(
+        &mut self,
+        c: &mut Circuit,
+        tid: ThreadId,
+        sid: usize,
+        fid: usize,
+        obj: &Rv,
+        demand: NodeRef,
+    ) -> Bv {
+        let o = self.eval_rv(c, tid, obj, demand);
+        self.null_fail(c, &o, demand);
+        let nf = self.l.structs[sid].fields.len();
+        // Object `k` sits at reference `k + 1`; 0 is null.
+        let cells = self.heap[sid].iter().skip(fid).step_by(nf);
+        select(c, self.w, &o, 1, cells)
     }
 
     fn bounds_fail(&mut self, c: &mut Circuit, i: &Bv, len: usize, demand: NodeRef) {
@@ -413,26 +425,15 @@ impl<'a> SymEval<'a> {
     }
 
     fn read_lv(&mut self, c: &mut Circuit, tid: ThreadId, lv: &Lv, demand: NodeRef) -> Bv {
-        let rv = match lv {
-            Lv::Global(g) => Rv::Global(*g),
-            Lv::Local(x) => Rv::Local(*x),
-            Lv::GlobalDyn { base, len, ix } => Rv::GlobalDyn {
-                base: *base,
-                len: *len,
-                ix: Box::new(ix.clone()),
-            },
-            Lv::LocalDyn { base, len, ix } => Rv::LocalDyn {
-                base: *base,
-                len: *len,
-                ix: Box::new(ix.clone()),
-            },
-            Lv::Field { sid, fid, obj } => Rv::Field {
-                sid: *sid,
-                fid: *fid,
-                obj: Box::new(obj.clone()),
-            },
-        };
-        self.eval_rv(c, tid, &rv, demand)
+        match lv {
+            Lv::Global(g) => self.globals[*g].clone(),
+            Lv::Local(x) => self.locals[tid][*x].clone(),
+            Lv::GlobalDyn { base, len, ix } => {
+                self.read_global_dyn(c, tid, *base, *len, ix, demand)
+            }
+            Lv::LocalDyn { base, len, ix } => self.read_local_dyn(c, tid, *base, *len, ix, demand),
+            Lv::Field { sid, fid, obj } => self.read_field(c, tid, *sid, *fid, obj, demand),
+        }
     }
 
     fn write(&mut self, c: &mut Circuit, tid: ThreadId, lv: &Lv, v: &Bv, cond: NodeRef) {
@@ -448,38 +449,72 @@ impl<'a> SymEval<'a> {
             Lv::GlobalDyn { base, len, ix } => {
                 let i = self.eval_rv(c, tid, ix, cond);
                 self.bounds_fail(c, &i, *len, cond);
-                for k in 0..*len {
-                    let kk = Bv::constant(c, k as i64, self.w);
-                    let here = Bv::eq(c, &i, &kk);
-                    let wc = c.and(cond, here);
-                    let old = self.globals[base + k].clone();
-                    self.globals[base + k] = Bv::mux(c, wc, v, &old);
-                }
+                let cells = &mut self.globals[*base..base + len];
+                store(c, self.w, &i, 0, cells.iter_mut(), v, cond);
             }
             Lv::LocalDyn { base, len, ix } => {
                 let i = self.eval_rv(c, tid, ix, cond);
                 self.bounds_fail(c, &i, *len, cond);
-                for k in 0..*len {
-                    let kk = Bv::constant(c, k as i64, self.w);
-                    let here = Bv::eq(c, &i, &kk);
-                    let wc = c.and(cond, here);
-                    let old = self.locals[tid][base + k].clone();
-                    self.locals[tid][base + k] = Bv::mux(c, wc, v, &old);
-                }
+                let cells = &mut self.locals[tid][*base..base + len];
+                store(c, self.w, &i, 0, cells.iter_mut(), v, cond);
             }
             Lv::Field { sid, fid, obj } => {
                 let o = self.eval_rv(c, tid, obj, cond);
                 self.null_fail(c, &o, cond);
                 let nf = self.l.structs[*sid].fields.len();
-                let cap = self.l.structs[*sid].capacity;
-                for k in 0..cap {
-                    let kk = Bv::constant(c, (k + 1) as i64, self.w);
-                    let here = Bv::eq(c, &o, &kk);
-                    let wc = c.and(cond, here);
-                    let old = self.heap[*sid][k * nf + *fid].clone();
-                    self.heap[*sid][k * nf + *fid] = Bv::mux(c, wc, v, &old);
-                }
+                let cells = self.heap[*sid].iter_mut().skip(*fid).step_by(nf);
+                store(c, self.w, &o, 1, cells, v, cond);
             }
+        }
+    }
+}
+
+/// The condition that index `i` addresses position `pos`. A constant
+/// index is compared at the word level, so an access at a constant
+/// index touches only the addressed cell.
+fn addresses(c: &mut Circuit, w: usize, i: &Bv, pos: i64) -> NodeRef {
+    let kk = Bv::constant(c, pos, w);
+    Bv::eq(c, i, &kk)
+}
+
+/// Mux-selects the cell whose position (`first` for the first cell)
+/// equals `i`; no match selects 0 (a bounds or null failure was
+/// already recorded).
+fn select<'b>(
+    c: &mut Circuit,
+    w: usize,
+    i: &Bv,
+    first: i64,
+    cells: impl IntoIterator<Item = &'b Bv>,
+) -> Bv {
+    let mut acc = Bv::constant(c, 0, w);
+    for (k, cell) in cells.into_iter().enumerate() {
+        let here = addresses(c, w, i, first + k as i64);
+        match here.as_const() {
+            Some(true) => acc = cell.clone(),
+            Some(false) => {}
+            None => acc = Bv::mux(c, here, cell, &acc),
+        }
+    }
+    acc
+}
+
+/// Writes `v` under `cond` into the cell whose position (`first` for
+/// the first cell) equals `i`.
+fn store<'b>(
+    c: &mut Circuit,
+    w: usize,
+    i: &Bv,
+    first: i64,
+    cells: impl Iterator<Item = &'b mut Bv>,
+    v: &Bv,
+    cond: NodeRef,
+) {
+    for (k, cell) in cells.enumerate() {
+        let here = addresses(c, w, i, first + k as i64);
+        let wc = c.and(cond, here);
+        if wc != NodeRef::FALSE {
+            *cell = Bv::mux(c, wc, v, cell);
         }
     }
 }

@@ -181,3 +181,103 @@ fn full_figure9_matrix_agrees_with_paper() {
         );
     }
 }
+
+/// One pinned CEGIS run: the encoder's and solver's work counters and
+/// the verdict, as the plain bit-level encoder produces them.
+struct Pin {
+    benchmark: &'static str,
+    test: &'static str,
+    nodes: usize,
+    clauses: u64,
+    decisions: u64,
+    conflicts: u64,
+    iterations: usize,
+    resolved: bool,
+}
+
+/// The synthesizer's fast paths (word-level constant folding, direct
+/// access at constant indices, the flat clause arena) may skip work but
+/// never reshape it: the same AIG, the same CNF and the same solver
+/// search. These counters pin that on a fine-grained set, a barrier and
+/// the lazyset NO row; any drift means a fast path built a different
+/// circuit or changed the search.
+#[test]
+fn encoder_and_solver_counters_are_pinned() {
+    let pins = [
+        Pin {
+            benchmark: "fineset2",
+            test: "ar(ar|ar)",
+            nodes: 334924,
+            clauses: 942055,
+            decisions: 614,
+            conflicts: 51,
+            iterations: 8,
+            resolved: true,
+        },
+        Pin {
+            benchmark: "barrier1",
+            test: "N=3,B=2",
+            nodes: 5219,
+            clauses: 13471,
+            decisions: 475,
+            conflicts: 115,
+            iterations: 7,
+            resolved: true,
+        },
+        Pin {
+            benchmark: "lazyset",
+            test: "ar(ar|ar)",
+            nodes: 117022,
+            clauses: 328303,
+            decisions: 1176,
+            conflicts: 480,
+            iterations: 3,
+            resolved: false,
+        },
+    ];
+    let runs = figure9_runs();
+    let mut drift = Vec::new();
+    for pin in &pins {
+        let run = runs
+            .iter()
+            .find(|r| r.benchmark == pin.benchmark && r.test == pin.test)
+            .unwrap_or_else(|| panic!("{} [{}] is a Figure 9 row", pin.benchmark, pin.test));
+        let out = Synthesis::new(&run.source, run.options.clone())
+            .unwrap()
+            .run();
+        assert!(
+            out.resolved() || out.definitely_unresolvable,
+            "{} [{}] reached no verdict",
+            pin.benchmark,
+            pin.test
+        );
+        let st = &out.stats;
+        let got = (
+            st.synth_nodes,
+            st.sat_clauses,
+            st.sat_decisions,
+            st.sat_conflicts,
+            st.iterations,
+            out.resolved(),
+        );
+        let want = (
+            pin.nodes,
+            pin.clauses,
+            pin.decisions,
+            pin.conflicts,
+            pin.iterations,
+            pin.resolved,
+        );
+        if got != want {
+            drift.push(format!(
+                "{} [{}]: (nodes, clauses, decisions, conflicts, iterations, resolved) = {got:?}, pinned {want:?}",
+                pin.benchmark, pin.test
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "encoder output drifted:\n{}",
+        drift.join("\n")
+    );
+}
