@@ -172,6 +172,11 @@ pub struct CegisStats {
     pub sat_clauses: u64,
     /// Circuit nodes in the synthesizer at the end.
     pub synth_nodes: usize,
+    /// Trace steps the synthesizer skipped by resuming inside the
+    /// prefix a trace's merged order shares with the previous trace's.
+    pub resumed_steps: usize,
+    /// Trace steps the synthesizer symbolically executed.
+    pub evaluated_steps: usize,
     /// Candidates refuted by a sampled schedule before any exhaustive
     /// search (hybrid verifier only).
     pub sampled_refutations: usize,
@@ -543,8 +548,16 @@ impl Synthesis {
                             break 'cegis;
                         }
                         VerifyResult::Trace(cex) => {
-                            if fed.insert(trace_key(&cex)) {
-                                synth.add_trace(&cex);
+                            if fed.insert(trace_key(&cex)) && !synth.add_trace(&cex) {
+                                set_trip(
+                                    &trip,
+                                    BudgetTrip::new(
+                                        BudgetKind::Wall,
+                                        "synthesize",
+                                        "trace encoding interrupted",
+                                    ),
+                                );
+                                break 'cegis;
                             }
                         }
                         VerifyResult::Input(x) => synth.add_input(&x),
@@ -575,6 +588,8 @@ impl Synthesis {
         stats.s_solve = synth.stats.solve_time;
         stats.s_model = synth.stats.encode_time;
         stats.synth_nodes = synth.stats.nodes;
+        stats.resumed_steps = synth.stats.resumed_steps;
+        stats.evaluated_steps = synth.stats.evaluated_steps;
         let sat = synth.solver_stats();
         stats.sat_decisions = sat.decisions;
         stats.sat_propagations = sat.propagations;
@@ -660,6 +675,8 @@ impl Synthesis {
             terminal_states: st.terminal_states,
             peak_memory: st.peak_memory,
             synth_nodes: st.synth_nodes,
+            resumed_steps: st.resumed_steps,
+            evaluated_steps: st.evaluated_steps,
             sampled_refutations: st.sampled_refutations,
             portfolio_width: st.portfolio_width,
             per_thread_states: st.per_thread_states.clone(),
@@ -937,7 +954,11 @@ impl Synthesis {
                         source: psketch_lang::pretty::print_program(&resolved),
                     });
                 }
-                VerifyResult::Trace(cex) => synth.add_trace(&cex),
+                VerifyResult::Trace(cex) => {
+                    // No limits are installed here: the encoding runs
+                    // to the end.
+                    synth.add_trace(&cex);
+                }
                 VerifyResult::Input(x) => synth.add_input(&x),
                 VerifyResult::Unknown(_) => break,
             }

@@ -171,6 +171,11 @@ pub struct RunReport {
     pub peak_memory: Option<u64>,
     /// Circuit nodes in the synthesizer at the end.
     pub synth_nodes: usize,
+    /// Trace steps the synthesizer skipped by resuming inside the
+    /// prefix a trace's merged order shares with the previous trace's.
+    pub resumed_steps: usize,
+    /// Trace steps the synthesizer symbolically executed.
+    pub evaluated_steps: usize,
     /// Candidates refuted by a sampled schedule (hybrid verifier).
     pub sampled_refutations: usize,
     /// Widest concurrent candidate batch.
@@ -244,7 +249,10 @@ impl RunReport {
     ///
     /// v4: incremental reseal counters (`reseal_us`, `threads_reused`
     /// at both run and iteration level).
-    pub const SCHEMA: u32 = 4;
+    ///
+    /// v5: encoder step counters (`resumed_steps`, `evaluated_steps`
+    /// at run level).
+    pub const SCHEMA: u32 = 5;
 
     /// Serialises the report as a JSON object (two-space indented).
     pub fn to_json(&self) -> String {
@@ -290,6 +298,8 @@ impl RunReport {
             },
         );
         o.field("synth_nodes", Json::from(self.synth_nodes as i64));
+        o.field("resumed_steps", Json::from(self.resumed_steps as i64));
+        o.field("evaluated_steps", Json::from(self.evaluated_steps as i64));
         o.field(
             "sampled_refutations",
             Json::from(self.sampled_refutations as i64),
@@ -850,6 +860,8 @@ mod tests {
             terminal_states: 7,
             peak_memory: Some(1024 * 1024),
             synth_nodes: 33,
+            resumed_steps: 700,
+            evaluated_steps: 300,
             sampled_refutations: 1,
             portfolio_width: 2,
             per_thread_states: vec![60, 40],
@@ -902,7 +914,7 @@ mod tests {
         };
         let text = report.to_json();
         let v = Json::parse(&text).expect("report must be valid JSON");
-        assert_eq!(v.get("schema").unwrap().as_f64(), Some(4.0));
+        assert_eq!(v.get("schema").unwrap().as_f64(), Some(5.0));
         assert_eq!(v.get("resolvable").unwrap().as_str(), Some("unknown"));
         assert_eq!(v.get("resolution"), Some(&Json::Null));
         let trip = v.get("budget_trip").unwrap();
@@ -929,6 +941,8 @@ mod tests {
         assert_eq!(v.get("sharpened_masks").unwrap().as_f64(), Some(11.0));
         assert_eq!(v.get("reseal_us").unwrap().as_f64(), Some(95.0));
         assert_eq!(v.get("threads_reused").unwrap().as_f64(), Some(3.0));
+        assert_eq!(v.get("resumed_steps").unwrap().as_f64(), Some(700.0));
+        assert_eq!(v.get("evaluated_steps").unwrap().as_f64(), Some(300.0));
         let recs = v.get("records").unwrap().as_arr().unwrap();
         assert_eq!(recs.len(), 1);
         let r = &recs[0];

@@ -75,10 +75,33 @@ impl Clause {
 
 #[derive(Clone, Copy)]
 struct Watcher {
-    cref: ClauseRef,
+    /// The watched clause's reference, with [`BINARY`] set when the
+    /// clause has two literals.
+    tagged: u32,
     /// Cached "blocker" literal: if true, the clause is satisfied and
-    /// need not be inspected.
+    /// need not be inspected. In a two-literal clause it is always the
+    /// other literal, so the watcher alone decides the clause.
     blocker: Lit,
+}
+
+/// The tag bit of a [`Watcher`] on a two-literal clause.
+const BINARY: u32 = 1 << 31;
+
+impl Watcher {
+    fn new(cref: ClauseRef, blocker: Lit, binary: bool) -> Watcher {
+        Watcher {
+            tagged: cref.0 | if binary { BINARY } else { 0 },
+            blocker,
+        }
+    }
+
+    fn cref(self) -> ClauseRef {
+        ClauseRef(self.tagged & !BINARY)
+    }
+
+    fn binary(self) -> bool {
+        self.tagged & BINARY != 0
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -446,17 +469,19 @@ impl Solver {
             cref
         } else {
             self.clauses.push(clause);
-            ClauseRef((self.clauses.len() - 1) as u32)
+            let cref = self.clauses.len() - 1;
+            assert!(cref < BINARY as usize, "clause references fit 31 bits");
+            ClauseRef(cref as u32)
         }
     }
 
     fn attach_clause(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
+        let (l0, l1, binary) = {
             let c = self.lits(cref);
-            (c[0], c[1])
+            (c[0], c[1], c.len() == 2)
         };
-        self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
+        self.watches[(!l0).index()].push(Watcher::new(cref, l1, binary));
+        self.watches[(!l1).index()].push(Watcher::new(cref, l0, binary));
     }
 
     fn remove_clause(&mut self, cref: ClauseRef) {
@@ -464,8 +489,8 @@ impl Solver {
             let c = self.lits(cref);
             (c[0], c[1])
         };
-        self.watches[(!l0).index()].retain(|w| w.cref != cref);
-        self.watches[(!l1).index()].retain(|w| w.cref != cref);
+        self.watches[(!l0).index()].retain(|w| w.cref() != cref);
+        self.watches[(!l1).index()].retain(|w| w.cref() != cref);
         let c = &mut self.clauses[cref.0 as usize];
         c.deleted = true;
         self.garbage += c.len as usize;
@@ -555,12 +580,39 @@ impl Solver {
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.lit_value(w.blocker) == LBool::True {
+                let blocker = self.lit_value(w.blocker);
+                if blocker == LBool::True {
                     ws[keep] = w;
                     keep += 1;
                     continue;
                 }
-                let cref = w.cref;
+                let cref = w.cref();
+                if w.binary() {
+                    // Decided by the watcher alone: the clause is unit
+                    // on its other literal, or conflicting. Its
+                    // literals stay where they are; readers of a
+                    // reason skip the implied literal wherever it is.
+                    ws[keep] = w;
+                    keep += 1;
+                    if blocker == LBool::Undef {
+                        self.unchecked_enqueue(w.blocker, cref);
+                        continue;
+                    }
+                    // Conflict analysis reads the clause in the order
+                    // the general path leaves: [other, ¬p].
+                    let c = &mut self.arena[self.clauses[cref.0 as usize].range()];
+                    if c[0] == !p {
+                        c.swap(0, 1);
+                    }
+                    conflict = Some(cref);
+                    self.qhead = self.trail.len();
+                    while i < ws.len() {
+                        ws[keep] = ws[i];
+                        keep += 1;
+                        i += 1;
+                    }
+                    break 'watchers;
+                }
                 // Normalize: false literal (!p) at position 1.
                 let (first, new_watch) = {
                     let c = &mut self.arena[self.clauses[cref.0 as usize].range()];
@@ -592,25 +644,16 @@ impl Solver {
                     }
                 };
                 if let Some(nw) = new_watch {
-                    self.watches[(!nw).index()].push(Watcher {
-                        cref,
-                        blocker: first,
-                    });
+                    self.watches[(!nw).index()].push(Watcher::new(cref, first, false));
                     continue 'watchers;
                 }
                 if self.lit_value(first) == LBool::True {
-                    ws[keep] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
+                    ws[keep] = Watcher::new(cref, first, false);
                     keep += 1;
                     continue;
                 }
                 // No new watch: clause is unit or conflicting.
-                ws[keep] = Watcher {
-                    cref,
-                    blocker: first,
-                };
+                ws[keep] = Watcher::new(cref, first, false);
                 keep += 1;
                 if self.lit_value(first) == LBool::False {
                     conflict = Some(cref);
@@ -649,10 +692,13 @@ impl Solver {
         loop {
             {
                 self.bump_clause(cref);
-                let range = self.clauses[cref.0 as usize].range();
-                let skip = usize::from(p.is_some());
-                for j in range.start + skip..range.end {
+                // The conflict clause whole; a reason clause without
+                // its implied literal `p`.
+                for j in self.clauses[cref.0 as usize].range() {
                     let q = self.arena[j];
+                    if Some(q) == p {
+                        continue;
+                    }
                     let v = q.var();
                     if !self.seen[v.index()] && self.vardata[v.index()].level > 0 {
                         self.seen[v.index()] = true;
@@ -725,7 +771,7 @@ impl Solver {
         }
         self.lits(r)
             .iter()
-            .skip(1)
+            .filter(|&&q| q != !l)
             .all(|&q| self.seen[q.var().index()] || self.vardata[q.var().index()].level == 0)
     }
 
@@ -975,7 +1021,8 @@ impl Solver {
             } else {
                 let r = self.vardata[v.index()].reason;
                 if r != CREF_UNDEF {
-                    stack.extend_from_slice(&self.lits(r)[1..]);
+                    let implied = !l;
+                    stack.extend(self.lits(r).iter().filter(|&&q| q != implied));
                 }
             }
         }
@@ -994,7 +1041,7 @@ impl Solver {
         let r = self.vardata[a.var().index()].reason;
         if r != CREF_UNDEF {
             // Best-effort: include the assumption chain.
-            for &q in self.lits(r).iter().skip(1) {
+            for &q in self.lits(r).iter().filter(|&&q| q != !a) {
                 out.push(!q);
             }
         }

@@ -11,12 +11,159 @@
 //! Memory-safety failures are *demand-conditioned*: a null dereference
 //! inside an undemanded `&&`/`||`/mux arm does not fire, mirroring the
 //! concrete evaluator's laziness.
+//!
+//! Consecutive traces of one sketch share long prefixes of their
+//! merged orders. [`TracePrefix`] keeps what one trace's evaluation
+//! leaves for the next, so the next resumes at the end of the shared
+//! prefix instead of re-running steps whose nodes the structural hash
+//! already holds (DESIGN.md §4k).
 
 use crate::bv::Bv;
 use crate::circuit::{Circuit, NodeRef};
 use psketch_ir::{Lowered, Lv, Op, Rv, ThreadId};
 use psketch_lang::ast::{BinOp, UnOp};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Steps between two state snapshots of a [`TracePrefix`] over an
+/// order of `len` steps (about 32 snapshots), and between two polls of
+/// the evaluation's [`Limits`].
+fn interval(len: usize) -> usize {
+    (len / 32).max(16)
+}
+
+/// Cooperative limits of an evaluation, polled at every snapshot
+/// position ([`interval`]): a wall deadline and a cancellation flag.
+#[derive(Clone, Default)]
+pub(crate) struct Limits {
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) cancel: Option<Arc<AtomicBool>>,
+}
+
+impl Limits {
+    fn tripped(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+}
+
+/// Steps of one evaluation, by how they were covered.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Steps {
+    /// Steps skipped by restoring a snapshot of the previous trace.
+    pub(crate) resumed: usize,
+    /// Steps symbolically executed.
+    pub(crate) evaluated: usize,
+}
+
+/// What one trace's evaluation leaves for the next over the same holes.
+///
+/// Before the end of the prefix two merged orders share, the state
+/// does not depend on the trace, except for `fail`, which the deadlock
+/// re-check of either trace may have extended. So the state is kept
+/// without `fail` every [`interval`] steps, and `fail` is rebuilt by
+/// OR-ing again, in order, the conditions every step passed to
+/// `record_fail`. That repeats exactly the `or` calls a fresh
+/// evaluation makes, and skips only calls the structural hash answers
+/// without creating a node.
+#[derive(Default)]
+pub(crate) struct TracePrefix {
+    /// A prefix of the order evaluated last: all of it, unless that
+    /// evaluation was interrupted.
+    order: Vec<(ThreadId, usize)>,
+    /// Steps between two snapshots.
+    interval: usize,
+    /// The state before steps `interval`, `2·interval`, … of `order`,
+    /// each as the bits of the flattened state (see [`SymEval::flatten`])
+    /// that differ from the state one interval earlier.
+    deltas: Vec<(usize, NodeRef)>,
+    /// End of each snapshot's bits in `deltas`.
+    delta_ends: Vec<usize>,
+    /// The failure conditions of every step of `order`, back to back;
+    /// step `p`'s end at `ends[p]`. The deadlock re-check's own
+    /// conditions are not among them.
+    conds: Vec<NodeRef>,
+    ends: Vec<usize>,
+    /// The flattened state at the last snapshot position an evaluation
+    /// passed, and the current one (scratch).
+    state: Vec<NodeRef>,
+    scratch: Vec<NodeRef>,
+}
+
+impl TracePrefix {
+    /// Cuts the records back to the prefix `order` shares with the
+    /// last order, and returns its length.
+    fn share(&mut self, order: &[(ThreadId, usize)]) -> usize {
+        if self.interval != interval(order.len()) {
+            *self = TracePrefix {
+                interval: interval(order.len()),
+                ..TracePrefix::default()
+            };
+        }
+        let shared = self
+            .order
+            .iter()
+            .zip(order)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.order.truncate(shared);
+        self.ends.truncate(shared);
+        self.conds.truncate(self.ends.last().copied().unwrap_or(0));
+        let snapshots = (shared / self.interval).min(self.delta_ends.len());
+        self.delta_ends.truncate(snapshots);
+        self.deltas
+            .truncate(self.delta_ends.last().copied().unwrap_or(0));
+        shared
+    }
+
+    /// The deepest snapshot position at or before `bound`.
+    fn resume_point(&self, bound: usize) -> usize {
+        (bound / self.interval).min(self.delta_ends.len()) * self.interval
+    }
+
+    /// Moves `state` from snapshot position `from` to `to`.
+    fn advance(&mut self, from: usize, to: usize) {
+        let start = match from / self.interval {
+            0 => 0,
+            k => self.delta_ends[k - 1],
+        };
+        let end = self.delta_ends[to / self.interval - 1];
+        for &(ix, bit) in &self.deltas[start..end] {
+            self.state[ix] = bit;
+        }
+    }
+
+    /// Takes `scratch` as the state at snapshot position `pos`, keeping
+    /// it as a snapshot unless one is kept there already.
+    fn pass_snapshot(&mut self, pos: usize) {
+        if pos / self.interval > self.delta_ends.len() {
+            let changed = self.scratch.iter().zip(&self.state).enumerate();
+            self.deltas.extend(
+                changed
+                    .filter(|(_, (now, before))| now != before)
+                    .map(|(ix, (&now, _))| (ix, now)),
+            );
+            self.delta_ends.push(self.deltas.len());
+        }
+        std::mem::swap(&mut self.state, &mut self.scratch);
+    }
+
+    /// The failure conditions of steps `from..to` of `order`.
+    fn conds(&self, from: usize, to: usize) -> &[NodeRef] {
+        let start = if from == 0 { 0 } else { self.ends[from - 1] };
+        &self.conds[start..self.ends[to - 1]]
+    }
+
+    fn end_step(&mut self, step: (ThreadId, usize), conds: &[NodeRef]) {
+        self.order.push(step);
+        self.conds.extend_from_slice(conds);
+        self.ends.push(self.conds.len());
+    }
+}
 
 /// Symbolic execution of one projected trace.
 pub struct SymEval<'a> {
@@ -30,6 +177,8 @@ pub struct SymEval<'a> {
     locals: Vec<Vec<Bv>>,
     running: NodeRef,
     fail: NodeRef,
+    /// The conditions passed to `record_fail` during the current step.
+    step_conds: Vec<NodeRef>,
 }
 
 impl<'a> SymEval<'a> {
@@ -80,6 +229,7 @@ impl<'a> SymEval<'a> {
             locals,
             running: NodeRef::TRUE,
             fail: NodeRef::FALSE,
+            step_conds: Vec::new(),
         }
     }
 
@@ -94,37 +244,143 @@ impl<'a> SymEval<'a> {
     /// in the replayed end state (a candidate that takes a different
     /// path through, or finds a condition true, is not refuted).
     pub fn run(
-        self,
-        c: &mut Circuit,
-        order: &[(ThreadId, usize)],
-        deadlock: &[(ThreadId, usize)],
-        deadlock_at: usize,
-    ) -> NodeRef {
-        self.run_with_probe(c, order, deadlock, deadlock_at, |_, _, _, _| {})
-    }
-
-    /// As [`SymEval::run`], invoking `probe(circuit, fail, running,
-    /// position)` after every step — used by debugging tools and tests
-    /// to locate the step that first sets `fail` or clears `running`.
-    pub fn run_with_probe(
         mut self,
         c: &mut Circuit,
         order: &[(ThreadId, usize)],
         deadlock: &[(ThreadId, usize)],
         deadlock_at: usize,
-        mut probe: impl FnMut(&mut Circuit, NodeRef, NodeRef, usize),
     ) -> NodeRef {
-        for (pos, &(tid, ix)) in order.iter().enumerate() {
-            if pos == deadlock_at {
-                self.check_deadlock(c, deadlock);
-            }
-            self.step(c, tid, ix);
-            probe(c, self.fail, self.running, pos);
+        self.execute(c, order, deadlock, deadlock_at, None, &Limits::default());
+        self.fail
+    }
+
+    /// As [`SymEval::run`], resuming inside the prefix `order` shares
+    /// with the order `prefix` kept, and keeping this trace's records
+    /// there for the next. Returns `None` when `limits` tripped: before
+    /// the first step, `prefix` is left as it was; later, it keeps the
+    /// records of the steps evaluated, whose nodes are all in `c`.
+    pub(crate) fn resume(
+        mut self,
+        c: &mut Circuit,
+        order: &[(ThreadId, usize)],
+        deadlock: &[(ThreadId, usize)],
+        deadlock_at: usize,
+        prefix: &mut TracePrefix,
+        limits: &Limits,
+    ) -> Option<(NodeRef, Steps)> {
+        let steps = self.execute(c, order, deadlock, deadlock_at, Some(prefix), limits)?;
+        Some((self.fail, steps))
+    }
+
+    /// The evaluation loop of [`SymEval::run`] and [`SymEval::resume`].
+    fn execute(
+        &mut self,
+        c: &mut Circuit,
+        order: &[(ThreadId, usize)],
+        deadlock: &[(ThreadId, usize)],
+        deadlock_at: usize,
+        mut prefix: Option<&mut TracePrefix>,
+        limits: &Limits,
+    ) -> Option<Steps> {
+        if limits.tripped() {
+            return None;
         }
-        if deadlock_at >= order.len() {
+        let mut shared = 0;
+        if let Some(p) = prefix.as_deref_mut() {
+            shared = p.share(order);
+            self.flatten(&mut p.state);
+        }
+        let every = interval(order.len());
+        // The position whose state `prefix.state` holds.
+        let mut state_at = 0;
+        let mut steps = Steps::default();
+        let mut checked = false;
+        let mut pos = 0;
+        loop {
+            if let Some(p) = prefix.as_deref_mut() {
+                // The deadlock re-check reads the state at
+                // `deadlock_at`, so the first jump stops there; the
+                // check changes only `fail`, so the next may go on.
+                let bound = if checked {
+                    shared
+                } else {
+                    shared.min(deadlock_at)
+                };
+                let to = p.resume_point(bound);
+                if to > pos {
+                    p.advance(state_at, to);
+                    self.unflatten(&p.state);
+                    for &cond in p.conds(pos, to) {
+                        self.fail = c.or(self.fail, cond);
+                    }
+                    steps.resumed += to - pos;
+                    (pos, state_at) = (to, to);
+                }
+            }
+            if pos == deadlock_at && !checked {
+                self.check_deadlock(c, deadlock);
+                // Its conditions belong to this trace alone.
+                self.step_conds.clear();
+                checked = true;
+                continue;
+            }
+            if pos == order.len() {
+                break;
+            }
+            if pos % every == 0 && pos > 0 {
+                if limits.tripped() {
+                    return None;
+                }
+                if let Some(p) = prefix.as_deref_mut() {
+                    self.flatten(&mut p.scratch);
+                    p.pass_snapshot(pos);
+                    state_at = pos;
+                }
+            }
+            let (tid, ix) = order[pos];
+            self.step(c, tid, ix);
+            steps.evaluated += 1;
+            if let Some(p) = prefix.as_deref_mut().filter(|_| pos >= shared) {
+                p.end_step((tid, ix), &self.step_conds);
+            }
+            self.step_conds.clear();
+            pos += 1;
+        }
+        if !checked {
             self.check_deadlock(c, deadlock);
         }
-        self.fail
+        Some(steps)
+    }
+
+    /// The state cells, in flattening order.
+    fn cells(&mut self) -> impl Iterator<Item = &mut Bv> {
+        self.globals
+            .iter_mut()
+            .chain(self.heap.iter_mut().flatten())
+            .chain(self.allocs.iter_mut())
+            .chain(self.locals.iter_mut().flatten())
+    }
+
+    /// Writes the state into `out`: every cell's bits, then `running`
+    /// (not `fail`).
+    fn flatten(&mut self, out: &mut Vec<NodeRef>) {
+        out.clear();
+        let running = self.running;
+        for cell in self.cells() {
+            out.extend_from_slice(&cell.0);
+        }
+        out.push(running);
+    }
+
+    /// Sets the state from [`SymEval::flatten`]'s output.
+    fn unflatten(&mut self, state: &[NodeRef]) {
+        let mut at = 0;
+        for cell in self.cells() {
+            let n = cell.0.len();
+            cell.0.copy_from_slice(&state[at..at + n]);
+            at += n;
+        }
+        self.running = state[at];
     }
 
     /// `fail |= running ∧ ⋀_{(t,i) ∈ D} blocked(t, i)` evaluated in
@@ -166,6 +422,9 @@ impl<'a> SymEval<'a> {
 
     fn record_fail(&mut self, c: &mut Circuit, cond: NodeRef) {
         self.fail = c.or(self.fail, cond);
+        if cond != NodeRef::FALSE {
+            self.step_conds.push(cond);
+        }
     }
 
     fn step(&mut self, c: &mut Circuit, tid: ThreadId, ix: usize) {

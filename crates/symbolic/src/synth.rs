@@ -10,7 +10,7 @@
 
 use crate::bv::Bv;
 use crate::circuit::{Circuit, NodeRef};
-use crate::eval::SymEval;
+use crate::eval::{Limits, SymEval, TracePrefix};
 use crate::project::{project, sequential_order, trace_end_position};
 use psketch_exec::CexTrace;
 use psketch_ir::{Assignment, HoleId, Lowered};
@@ -50,6 +50,21 @@ pub struct SynthStats {
     pub encode_time: Duration,
     /// Time spent in the SAT solver (the paper's `Ssolve`).
     pub solve_time: Duration,
+    /// Trace steps skipped by resuming inside the prefix a trace's
+    /// merged order shares with the previous trace's.
+    pub resumed_steps: usize,
+    /// Trace steps symbolically executed.
+    pub evaluated_steps: usize,
+}
+
+/// A sketch's hole bits in a circuit and the solver variables bound to
+/// them, with the domain bounds and static constraints asserted: what
+/// [`Synthesizer::new`] encodes before any observation.
+pub struct HoleEncoding {
+    /// One W-wide bitvector per hole (constant-false high bits).
+    bits: Vec<Bv>,
+    /// The solver variables of each hole's free bits, low bit first.
+    vars: Vec<Vec<Var>>,
 }
 
 /// The inductive synthesizer.
@@ -57,20 +72,19 @@ pub struct Synthesizer<'l> {
     l: &'l Lowered,
     circuit: Circuit,
     solver: Solver,
-    hole_bvs: Vec<Bv>,
-    hole_vars: Vec<Vec<Var>>,
+    holes: HoleEncoding,
+    /// What the last trace's evaluation left for the next.
+    prefix: TracePrefix,
+    limits: Limits,
     /// Statistics.
     pub stats: SynthStats,
 }
 
-impl<'l> Synthesizer<'l> {
-    /// Creates a synthesizer for a lowered sketch: allocates hole bits,
-    /// asserts domain bounds and the sketch's static validity
+impl HoleEncoding {
+    /// Allocates the hole bits of `l` in `circuit` and `solver`, and
+    /// asserts their domain bounds and the sketch's static validity
     /// constraints (e.g. reorder permutation-ness).
-    pub fn new(l: &'l Lowered) -> Synthesizer<'l> {
-        let t0 = Instant::now();
-        let mut circuit = Circuit::new();
-        let mut solver = Solver::new();
+    pub fn new(l: &Lowered, circuit: &mut Circuit, solver: &mut Solver) -> HoleEncoding {
         let w = l.config.int_width as usize;
         let nholes = l.holes.num_holes();
         let mut hole_bvs = Vec::with_capacity(nholes);
@@ -94,95 +108,87 @@ impl<'l> Synthesizer<'l> {
             let bv = Bv(bits);
             // Domain bound when not a power of two.
             if domain != (1u64 << nbits.min(63)) {
-                let dom = Bv::constant(&mut circuit, domain as i64, w);
-                let inb = Bv::ult(&mut circuit, &bv, &dom);
-                circuit.assert_true(inb, &mut solver);
+                let dom = Bv::constant(circuit, domain as i64, w);
+                let inb = Bv::ult(circuit, &bv, &dom);
+                circuit.assert_true(inb, solver);
             }
             hole_bvs.push(bv);
             hole_vars.push(vars);
         }
-        let mut s = Synthesizer {
-            l,
-            circuit,
-            solver,
-            hole_bvs,
-            hole_vars,
-            stats: SynthStats::default(),
+        let holes = HoleEncoding {
+            bits: hole_bvs,
+            vars: hole_vars,
         };
         // Force-encode the hole bits so decoding can read them, and
         // tie each input node to its reserved variable.
-        s.bind_hole_bits();
+        holes.bind(circuit, solver);
         // Static constraints from desugaring.
-        let constraints: Vec<Expr> = s.l.holes.constraints().to_vec();
-        for cexpr in &constraints {
-            let v = s.eval_constraint(cexpr);
-            let node = v.nonzero(&mut s.circuit);
-            s.circuit.assert_true(node, &mut s.solver);
+        for cexpr in l.holes.constraints() {
+            let v = holes.eval_constraint(l, circuit, cexpr);
+            let node = v.nonzero(circuit);
+            circuit.assert_true(node, solver);
         }
-        s.stats.encode_time += t0.elapsed();
-        s.stats.nodes = s.circuit.len();
-        s
+        holes
     }
 
-    /// The lowered program under synthesis.
-    pub fn lowered(&self) -> &Lowered {
-        self.l
-    }
-
-    /// Installs cooperative limits on the underlying SAT solver: solve
-    /// calls past `deadline` or with `cancel` raised return promptly
-    /// and [`Synthesizer::next_candidates`] reports
-    /// [`CandidateBatch::Interrupted`].
-    pub fn set_limits(&mut self, deadline: Option<Instant>, cancel: Option<Arc<AtomicBool>>) {
-        self.solver.set_limits(deadline, cancel);
-    }
-
-    /// Work counters of the underlying SAT solver (cumulative for this
-    /// synthesis session).
-    pub fn solver_stats(&self) -> SolverStats {
-        self.solver.stats()
-    }
-
-    fn bind_hole_bits(&mut self) {
+    fn bind(&self, circuit: &mut Circuit, solver: &mut Solver) {
         // The circuit allocates Tseitin vars lazily; we reserved
         // solver vars for the hole bits up front so the mapping is
         // stable. Encode each input node and link it to the reserved
         // var by equivalence clauses.
-        for (h, bv) in self.hole_bvs.clone().iter().enumerate() {
+        for (h, bv) in self.bits.iter().enumerate() {
             for (k, &bit) in bv.0.iter().enumerate() {
                 if bit.as_const().is_some() {
                     continue;
                 }
-                let lit = self.circuit.lit(bit, &mut self.solver);
-                let reserved = self.hole_vars[h][k];
+                let lit = circuit.lit(bit, solver);
+                let reserved = self.vars[h][k];
                 let rl = psketch_sat::Lit::pos(reserved);
-                self.solver.add_clause([!lit, rl]);
-                self.solver.add_clause([lit, !rl]);
+                solver.add_clause([!lit, rl]);
+                solver.add_clause([lit, !rl]);
             }
         }
     }
 
+    /// The hole values as circuit bitvectors, one per hole.
+    pub fn bits(&self) -> &[Bv] {
+        &self.bits
+    }
+
+    /// Reads the hole assignment off `solver`'s current model.
+    pub fn decode(&self, solver: &Solver) -> Assignment {
+        let mut values = Vec::with_capacity(self.vars.len());
+        for vars in &self.vars {
+            let mut v = 0u64;
+            for (k, &var) in vars.iter().enumerate() {
+                if solver.value(var) == Some(true) {
+                    v |= 1 << k;
+                }
+            }
+            values.push(v);
+        }
+        Assignment::from_values(values)
+    }
+
     /// Evaluates a static constraint expression over hole bits.
-    fn eval_constraint(&mut self, e: &Expr) -> Bv {
-        let w = self.l.config.int_width as usize;
-        let c = &mut self.circuit;
+    fn eval_constraint(&self, l: &Lowered, c: &mut Circuit, e: &Expr) -> Bv {
+        let w = l.config.int_width as usize;
         match e {
-            Expr::HoleRef(h, _, _) => self.hole_bvs[*h as usize].clone(),
+            Expr::HoleRef(h, _, _) => self.bits[*h as usize].clone(),
             Expr::Int(v, _) => Bv::constant(c, *v, w),
             Expr::Bool(b, _) => Bv::constant(c, i64::from(*b), w),
             Expr::Unary(UnOp::Not, a, _) => {
-                let av = self.eval_constraint(a);
-                let nz = av.nonzero(&mut self.circuit);
-                Bv::from_bool(&mut self.circuit, nz.not(), w)
+                let av = self.eval_constraint(l, c, a);
+                let nz = av.nonzero(c);
+                Bv::from_bool(c, nz.not(), w)
             }
             Expr::Unary(UnOp::Neg, a, _) => {
-                let av = self.eval_constraint(a);
-                Bv::neg(&mut self.circuit, &av)
+                let av = self.eval_constraint(l, c, a);
+                Bv::neg(c, &av)
             }
             Expr::Binary(op, a, b, _) => {
-                let x = self.eval_constraint(a);
-                let y = self.eval_constraint(b);
-                let c = &mut self.circuit;
+                let x = self.eval_constraint(l, c, a);
+                let y = self.eval_constraint(l, c, b);
                 let as_bool = |c: &mut Circuit, n: NodeRef| Bv::from_bool(c, n, w);
                 match op {
                     BinOp::Add => Bv::add(c, &x, &y),
@@ -232,19 +238,85 @@ impl<'l> Synthesizer<'l> {
             other => panic!("unsupported constraint expression: {other:?}"),
         }
     }
+}
+
+impl<'l> Synthesizer<'l> {
+    /// Creates a synthesizer for a lowered sketch: allocates hole bits,
+    /// asserts domain bounds and the sketch's static validity
+    /// constraints (e.g. reorder permutation-ness).
+    pub fn new(l: &'l Lowered) -> Synthesizer<'l> {
+        let t0 = Instant::now();
+        let mut circuit = Circuit::new();
+        let mut solver = Solver::new();
+        let holes = HoleEncoding::new(l, &mut circuit, &mut solver);
+        let mut stats = SynthStats {
+            nodes: circuit.len(),
+            ..SynthStats::default()
+        };
+        stats.encode_time += t0.elapsed();
+        Synthesizer {
+            l,
+            circuit,
+            solver,
+            holes,
+            prefix: TracePrefix::default(),
+            limits: Limits::default(),
+            stats,
+        }
+    }
+
+    /// The lowered program under synthesis.
+    pub fn lowered(&self) -> &Lowered {
+        self.l
+    }
+
+    /// Installs cooperative limits on the trace encoder and the SAT
+    /// solver: past `deadline` or with `cancel` raised,
+    /// [`Synthesizer::add_trace`] stops at its next poll and returns
+    /// `false`, and [`Synthesizer::next_candidates`] reports
+    /// [`CandidateBatch::Interrupted`].
+    pub fn set_limits(&mut self, deadline: Option<Instant>, cancel: Option<Arc<AtomicBool>>) {
+        self.solver.set_limits(deadline, cancel.clone());
+        self.limits = Limits { deadline, cancel };
+    }
+
+    /// Work counters of the underlying SAT solver (cumulative for this
+    /// synthesis session).
+    pub fn solver_stats(&self) -> SolverStats {
+        self.solver.stats()
+    }
 
     /// Adds a counterexample-trace observation (concurrent CEGIS).
-    pub fn add_trace(&mut self, cex: &CexTrace) {
+    ///
+    /// The evaluation resumes inside the prefix the trace's merged
+    /// order shares with the previous trace's, and builds the same
+    /// circuit a fresh evaluation builds. Returns `false` when a limit
+    /// installed by [`Synthesizer::set_limits`] stopped it: then
+    /// nothing is asserted and the next trace resumes from the
+    /// previous one, as if this call had not been made.
+    pub fn add_trace(&mut self, cex: &CexTrace) -> bool {
         let t0 = Instant::now();
         let order = project(self.l, cex);
         let deadlock_at = trace_end_position(&order, cex);
         let inputs = HashMap::new();
-        let ev = SymEval::new(&mut self.circuit, self.l, &self.hole_bvs, &inputs);
-        let fail = ev.run(&mut self.circuit, &order, &cex.deadlock, deadlock_at);
-        self.circuit.assert_true(fail.not(), &mut self.solver);
-        self.stats.observations += 1;
+        let ev = SymEval::new(&mut self.circuit, self.l, &self.holes.bits, &inputs);
+        let done = ev.resume(
+            &mut self.circuit,
+            &order,
+            &cex.deadlock,
+            deadlock_at,
+            &mut self.prefix,
+            &self.limits,
+        );
+        if let Some((fail, steps)) = done {
+            self.circuit.assert_true(fail.not(), &mut self.solver);
+            self.stats.observations += 1;
+            self.stats.resumed_steps += steps.resumed;
+            self.stats.evaluated_steps += steps.evaluated;
+        }
         self.stats.nodes = self.circuit.len();
         self.stats.encode_time += t0.elapsed();
+        done.is_some()
     }
 
     /// Adds a concrete-input observation (sequential CEGIS, §5):
@@ -262,7 +334,7 @@ impl<'l> Synthesizer<'l> {
             }
         }
         let order = sequential_order(self.l);
-        let ev = SymEval::new(&mut self.circuit, self.l, &self.hole_bvs, &inputs);
+        let ev = SymEval::new(&mut self.circuit, self.l, &self.holes.bits, &inputs);
         let fail = ev.run(&mut self.circuit, &order, &[], order.len());
         self.circuit.assert_true(fail.not(), &mut self.solver);
         self.stats.observations += 1;
@@ -311,7 +383,7 @@ impl<'l> Synthesizer<'l> {
         while out.len() < k {
             // Exclude everything found in this round, under `sel`.
             let mut clause = vec![!sel];
-            for (h, vars) in self.hole_vars.iter().enumerate() {
+            for (h, vars) in self.holes.vars.iter().enumerate() {
                 let v = out.last().unwrap().value(h as HoleId);
                 for (kx, &var) in vars.iter().enumerate() {
                     let bit = (v >> kx) & 1 == 1;
@@ -336,17 +408,7 @@ impl<'l> Synthesizer<'l> {
 
     /// Reads the hole assignment off the solver's current model.
     fn decode_model(&self) -> Assignment {
-        let mut values = Vec::with_capacity(self.hole_vars.len());
-        for vars in &self.hole_vars {
-            let mut v = 0u64;
-            for (k, &var) in vars.iter().enumerate() {
-                if self.solver.value(var) == Some(true) {
-                    v |= 1 << k;
-                }
-            }
-            values.push(v);
-        }
-        let a = Assignment::from_values(values);
+        let a = self.holes.decode(&self.solver);
         debug_assert!(a.validate(&self.l.holes));
         a
     }
@@ -355,7 +417,7 @@ impl<'l> Synthesizer<'l> {
     /// enumerate multiple correct solutions).
     pub fn block(&mut self, a: &Assignment) {
         let mut clause = Vec::new();
-        for (h, vars) in self.hole_vars.iter().enumerate() {
+        for (h, vars) in self.holes.vars.iter().enumerate() {
             let v = a.value(h as HoleId);
             for (k, &var) in vars.iter().enumerate() {
                 let bit = (v >> k) & 1 == 1;
@@ -484,7 +546,7 @@ mod tests {
             let out = check(l, &cand);
             match out.counterexample() {
                 None => return Some((cand, iter + 1)),
-                Some(cex) => synth.add_trace(cex),
+                Some(cex) => assert!(synth.add_trace(cex)),
             }
         }
         panic!("mini CEGIS did not converge in 64 iterations");
@@ -556,29 +618,96 @@ mod tests {
         assert!(iters <= 8);
     }
 
+    /// Each thread chooses its lock order; the same order avoids
+    /// deadlock.
+    const LOCK_ORDER: &str = "struct Lock { int owner = -1; }
+         Lock a; Lock b; int g;
+         void lock(Lock l) { atomic (l.owner == -1) { l.owner = pid(); } }
+         void unlock(Lock l) { l.owner = -1; }
+         harness void main() {
+             a = new Lock(); b = new Lock();
+             fork (i; 2) {
+                 if (??(1) == 0) {
+                     if (i == 0) { lock(a); lock(b); }
+                     else { lock(b); lock(a); }
+                 } else { lock(a); lock(b); }
+                 g = g + 1;
+                 unlock(b); unlock(a);
+             }
+             assert g == 2;
+         }";
+
     #[test]
     fn deadlock_observations_prune() {
-        // Choose lock order per thread; same order avoids deadlock.
-        let l = lowered(
-            "struct Lock { int owner = -1; }
-             Lock a; Lock b; int g;
-             void lock(Lock l) { atomic (l.owner == -1) { l.owner = pid(); } }
-             void unlock(Lock l) { l.owner = -1; }
-             harness void main() {
-                 a = new Lock(); b = new Lock();
-                 fork (i; 2) {
-                     if (??(1) == 0) {
-                         if (i == 0) { lock(a); lock(b); }
-                         else { lock(b); lock(a); }
-                     } else { lock(a); lock(b); }
-                     g = g + 1;
-                     unlock(b); unlock(a);
-                 }
-                 assert g == 2;
-             }",
-        );
+        let l = lowered(LOCK_ORDER);
         let (_a, iters) = mini_cegis(&l).expect("resolvable");
         assert!(iters <= 6);
+    }
+
+    #[test]
+    fn interrupted_trace_asserts_nothing_and_resumes_cleanly() {
+        use std::sync::atomic::Ordering;
+        // A prologue long enough that every trace's merged order shares
+        // a snapshot with the previous one.
+        let l = lowered(&format!(
+            "int g;
+             harness void main() {{
+                 {} g = 0;
+                 fork (i; 3) {{
+                     if (??(1) == 0) {{ int t = g; g = t + 1; }}
+                     else {{ int old = AtomicReadAndIncr(g); }}
+                 }}
+                 assert g == ??(2) + 1;
+             }}",
+            "g = g + 1; ".repeat(40)
+        ));
+        let mut traces = Vec::new();
+        let mut cegis = Synthesizer::new(&l);
+        while let Some(cand) = cegis.next_candidate() {
+            let Some(cex) = check(&l, &cand).counterexample().cloned() else {
+                break;
+            };
+            assert!(cegis.add_trace(&cex));
+            traces.push(cex);
+        }
+        assert!(traces.len() >= 2, "{} traces", traces.len());
+
+        let counts = |s: &Synthesizer| {
+            (
+                s.stats.nodes,
+                s.solver_stats().clauses,
+                s.stats.observations,
+            )
+        };
+        let mut plain = Synthesizer::new(&l);
+        let mut limited = Synthesizer::new(&l);
+        let flag = Arc::new(AtomicBool::new(false));
+        limited.set_limits(None, Some(flag.clone()));
+        for cex in &traces {
+            flag.store(true, Ordering::Relaxed);
+            let before = counts(&limited);
+            assert!(!limited.add_trace(cex), "a raised flag interrupts");
+            assert_eq!(
+                counts(&limited),
+                before,
+                "an interrupted trace adds nothing"
+            );
+            flag.store(false, Ordering::Relaxed);
+            assert!(limited.add_trace(cex));
+            assert!(plain.add_trace(cex));
+            assert_eq!(counts(&limited), counts(&plain));
+        }
+        assert_eq!(limited.next_candidate(), plain.next_candidate());
+        assert!(limited.stats.resumed_steps > 0, "no trace resumed");
+
+        let past = Instant::now() - Duration::from_millis(1);
+        limited.set_limits(Some(past), None);
+        let before = counts(&limited);
+        assert!(
+            !limited.add_trace(&traces[0]),
+            "a passed deadline interrupts"
+        );
+        assert_eq!(counts(&limited), before);
     }
 
     #[test]
@@ -648,7 +777,7 @@ mod tests {
                     seen.push(cand.value(0));
                     synth.block(&cand);
                 }
-                Some(cex) => synth.add_trace(cex),
+                Some(cex) => assert!(synth.add_trace(cex)),
             }
             if seen.len() > 4 {
                 break;

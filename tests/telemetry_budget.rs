@@ -45,6 +45,8 @@ fn run_report_json_round_trips() {
         "terminal_states",
         "peak_memory",
         "synth_nodes",
+        "resumed_steps",
+        "evaluated_steps",
         "sampled_refutations",
         "portfolio_width",
         "per_thread_states",
